@@ -33,7 +33,6 @@ pub const SCENARIOS: &[ScenarioEntry] = &[
     ("parallel_scaling", parallel_scaling),
     ("fleet", fleet::fleet),
     ("daemon_serve", serve::daemon_serve),
-    ("sharded_simulate", sharded_simulate),
 ];
 
 /// **vm_fastpath** — the PR 3 headline: decoded-block cache + software
@@ -358,104 +357,6 @@ pub fn parallel_scaling(knobs: &BenchKnobs) -> ScenarioResult {
     }
 }
 
-/// **sharded_simulate** — the PR 8 headline: interval snapshots turn
-/// one region's detailed simulation into independent slices, so the
-/// simulate wall drops from O(region) to O(region/workers). One serial
-/// `simulate_pinball` vs `simulate_pinball_sharded` at 8 shards, with
-/// the functional bit-identity pinned in-scenario (the differential
-/// suite proves the full contract).
-pub fn sharded_simulate(knobs: &BenchKnobs) -> ScenarioResult {
-    const SHARDS: usize = 8;
-    let w = elfie::workloads::gcc_like(knobs.profile.pick(4, 8));
-    let region_len = knobs.profile.pick(60_000u64, 400_000);
-    let pb = Logger::new(LoggerConfig::fat(
-        &w.name,
-        RegionTrigger::GlobalIcount(50_000),
-        region_len,
-    ))
-    .capture(&w.program, |m| w.setup(m))
-    .expect("captures");
-    let sim = Simulator::new(elfie::sim::CoreParams::haswell_like());
-    let cfg = ShardConfig {
-        shards: SHARDS,
-        interval: region_len / 10,
-    };
-
-    // Warm both arms, and pin the sharded path's functional equivalence
-    // while we are at it.
-    let serial_out = simulate_pinball(&pb, &sim);
-    let out = simulate_pinball_sharded(&pb, &sim, &cfg);
-    assert!(out.summary.completed, "sharded replay diverged");
-    let identical = out.outcome.machine_icounts == serial_out.machine_icounts
-        && out.outcome.fastpath.insns == serial_out.fastpath.insns;
-
-    let mut serial = || {
-        let t0 = Instant::now();
-        simulate_pinball(&pb, &sim);
-        t0.elapsed()
-    };
-    let mut stitch_ns = u64::MAX;
-    let mut sharded = || {
-        let t0 = Instant::now();
-        let o = simulate_pinball_sharded(&pb, &sim, &cfg);
-        stitch_ns = stitch_ns.min(o.stitch_wall_ns);
-        t0.elapsed()
-    };
-    let minima = interleaved_min(knobs.runs, &mut [&mut serial, &mut sharded]);
-    let speedup = minima[0].as_secs_f64() / minima[1].as_secs_f64();
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    // The O(region/workers) claim is only measurable when real cores sit
-    // under the workers; smaller boxes still gate on the recorded figure
-    // and on bit-identity.
-    if cores >= SHARDS {
-        assert!(
-            speedup >= 3.0,
-            "expected >= 3x at {SHARDS} shards on {cores} core(s), got {speedup:.2}x"
-        );
-    }
-    // Snapshot overhead: the fast-path profiling pass that places the
-    // snapshots, relative to the detailed serial simulation it replaces.
-    let overhead = out.profile_wall_ns as f64 / minima[0].as_nanos().max(1) as f64;
-
-    ScenarioResult {
-        name: "sharded_simulate".to_string(),
-        runs: knobs.runs as u64,
-        notes: format!(
-            "{region_len}-insn {} region, {} slice(s) on {} worker(s), {cores} core(s) available",
-            w.name,
-            out.slices.len(),
-            out.workers
-        ),
-        metrics: vec![
-            Metric::lower("serial_wall_ms", ms(minima[0]), "ms", 0.60),
-            Metric::higher("speedup_8shards", speedup, "x", 0.90).uncalibrated(),
-            Metric::lower("snapshot_overhead_frac", overhead, "frac", 0.90).uncalibrated(),
-            // The stitch is single-digit µs — below timer noise even
-            // min-of-runs. Floored so the band gates order-of-magnitude
-            // regressions, not scheduler jitter.
-            Metric::lower("stitch_ms", (stitch_ns as f64 / 1e6).max(0.02), "ms", 0.90)
-                .uncalibrated(),
-            Metric::lower("snapshot_bytes", out.snapshot_bytes as f64, "bytes", 0.02)
-                .uncalibrated(),
-            Metric::higher("snapshots", out.snapshots.len() as f64, "count", 0.0).uncalibrated(),
-            Metric::lower(
-                "peak_rss_bytes",
-                out.outcome.fastpath.mat.peak_owned_bytes as f64,
-                "bytes",
-                0.25,
-            )
-            .uncalibrated(),
-            Metric::higher(
-                "functional_identical",
-                f64::from(u8::from(identical)),
-                "bool",
-                0.0,
-            )
-            .uncalibrated(),
-        ],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,8 +377,7 @@ mod tests {
                 "store_dedup",
                 "parallel_scaling",
                 "fleet",
-                "daemon_serve",
-                "sharded_simulate"
+                "daemon_serve"
             ]
         );
     }

@@ -395,13 +395,22 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// `--slice N`, the BBV slice size of `simpoint` and `validate`. Zero is
+/// refused: profiling would otherwise run with one-instruction slices.
+fn slice_size(args: &Args) -> Result<u64, CliError> {
+    match args.opt_u64("slice", 100_000)? {
+        0 => Err(err("--slice must be at least 1 instruction")),
+        n => Ok(n),
+    }
+}
+
 /// `elfie simpoint <workload> [--scale S] [--slice N] [--warmup N] [--maxk N]`
 pub fn cmd_simpoint(args: &Args) -> Result<String, CliError> {
     let name = args.pos(0, "workload")?;
     let scale = parse_scale(args.opt("scale"))?;
     let w = find_workload(name, scale)?;
     let cfg = PinPointsConfig {
-        slice_size: args.opt_u64("slice", 100_000)?,
+        slice_size: slice_size(args)?,
         warmup: args.opt_u64("warmup", 200_000)?,
         max_k: args.opt_u64("maxk", 50)? as usize,
         ..PinPointsConfig::default()
@@ -440,7 +449,7 @@ pub fn cmd_validate(args: &Args) -> Result<String, CliError> {
     let scale = parse_scale(args.opt("scale"))?;
     let w = find_workload(name, scale)?;
     let cfg = PinPointsConfig {
-        slice_size: args.opt_u64("slice", 100_000)?,
+        slice_size: slice_size(args)?,
         warmup: args.opt_u64("warmup", 200_000)?,
         max_k: args.opt_u64("maxk", 10)? as usize,
         ..PinPointsConfig::default()
@@ -502,82 +511,23 @@ fn render_sim_outcome(sim: &Simulator, out: &elfie::sim::SimOutcome) -> String {
     )
 }
 
-/// The pinball branch of `elfie simulate`: constrained replay, serial by
-/// default, sharded over interval snapshots when `--shards` or
-/// `--snapshot-interval` asks for it. `--snapshot-store DIR` persists the
-/// interval chain as parent-linked snapshot objects.
-fn simulate_pinball_report(args: &Args, pb: &Pinball, sim: &Simulator) -> Result<String, CliError> {
-    let shards = args.opt_u64("shards", 1)?.max(1) as usize;
-    let interval = args.opt_u64("snapshot-interval", 0)?;
-    let snapshot_store = args.opt("snapshot-store");
-    if shards <= 1 && interval == 0 && snapshot_store.is_none() {
-        let out = elfie::sim::simulate_pinball(pb, sim);
-        let mut report = render_sim_outcome(sim, &out);
-        report.push('\n');
-        let _ = writeln!(report, "replay: {} (serial)", pb.region.name);
-        return Ok(report);
-    }
-    let cfg = elfie::sim::ShardConfig {
-        shards,
-        interval: if interval == 0 {
-            elfie::sim::ShardConfig::default().interval
-        } else {
-            interval
-        },
-    };
-    let out = elfie::sim::simulate_pinball_sharded(pb, sim, &cfg);
-    let mut report = render_sim_outcome(sim, &out.outcome);
+/// The pinball branch of `elfie simulate`: serial constrained replay
+/// under the timing model.
+fn simulate_pinball_report(pb: &Pinball, sim: &Simulator) -> String {
+    let out = elfie::sim::simulate_pinball(pb, sim);
+    let mut report = render_sim_outcome(sim, &out);
     report.push('\n');
-    let _ = writeln!(
-        report,
-        "sharded: {} worker(s), {} slice(s), {} snapshot(s) ({} KB), interval {}",
-        out.workers,
-        out.slices.len(),
-        out.snapshots.len(),
-        out.snapshot_bytes / 1024,
-        cfg.interval,
-    );
-    let _ = writeln!(
-        report,
-        "wall: profile {} ms  simulate {} ms  stitch {} us  bbv slices {}",
-        out.profile_wall_ns / 1_000_000,
-        out.simulate_wall_ns / 1_000_000,
-        out.stitch_wall_ns / 1_000,
-        out.bbv.slice_count(),
-    );
-    if !out.summary.completed {
-        let _ = writeln!(report, "divergence: {:?}", out.summary.divergence);
-    }
-    if let Some(dir) = snapshot_store {
-        let store = open_store(Some(dir))?;
-        let mut parent = None;
-        for (k, s) in out.snapshots.iter().enumerate() {
-            let name = format!("snap.{}.{}", pb.region.name, k + 1);
-            parent = Some(
-                store
-                    .put_snapshot(&name, s, parent)
-                    .map_err(|e| err(format!("store snapshot: {e}")))?,
-            );
-        }
-        let _ = writeln!(
-            report,
-            "stored {} snapshot(s) as `snap.{}.*` in {dir}",
-            out.snapshots.len(),
-            pb.region.name
-        );
-    }
-    Ok(report)
+    let _ = writeln!(report, "replay: {} (serial)", pb.region.name);
+    report
 }
 
 /// `elfie simulate <elfie-file | pinball-dir name | pinball-bundle>
-/// [--sim NAME] [--sysstate DIR] [--shards N] [--snapshot-interval N]
-/// [--snapshot-store DIR] [--trace FILE] [--trace-mode M]
+/// [--sim NAME] [--sysstate DIR] [--trace FILE] [--trace-mode M]
 /// [--stats-json FILE]`
 ///
 /// ELFie images go through the unconstrained program path. Pinball input
 /// — a pinball directory plus name, or a single `PBAL` bundle file — is
-/// simulated via constrained replay, where `--shards`/`--snapshot-interval`
-/// switch on sharded intra-region simulation (see `elfie-sim::shard`).
+/// simulated via constrained replay.
 pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let path = args.pos(0, "elfie-file")?;
     let topts = parse_trace_opts(args)?;
@@ -632,66 +582,9 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     // A raw pinball carries no ROI markers — the captured region *is* the
     // region of interest, so marker-armed simulators would model nothing.
     sim.roi = elfie::sim::RoiMode::Always;
-    let mut report = simulate_pinball_report(args, &pb, &sim)?;
+    let mut report = simulate_pinball_report(&pb, &sim);
     topts.finish(&mut report, &Json::Null)?;
     Ok(report)
-}
-
-/// `elfie snapshot <ls|rm> [...] [--store DIR]`
-///
-/// Inspects the interval-snapshot chains `simulate --snapshot-store`
-/// persists. `ls` lists every snapshot object with its position in the
-/// region, delta size, and parent link — without materialising any delta
-/// pages. `rm` drops a snapshot ref (and refuses non-snapshot objects, so
-/// it cannot silently take a pinball down); blobs and parent manifests are
-/// reclaimed by `store gc` only once nothing downstream chains to them.
-pub fn cmd_snapshot(args: &Args) -> Result<String, CliError> {
-    let store = open_store(args.opt("store"))?;
-    match args.pos(0, "snapshot subcommand")? {
-        "ls" => {
-            let entries = store.list().map_err(|e| err(format!("snapshot ls: {e}")))?;
-            let mut out = String::new();
-            let mut n = 0usize;
-            for e in &entries {
-                if e.kind != elfie::store::ObjectKind::Snapshot {
-                    continue;
-                }
-                let (meta, parent, delta_pages) = store
-                    .snapshot_info(&e.name)
-                    .map_err(|e2| err(format!("snapshot ls `{}`: {e2}", e.name)))?;
-                let _ = writeln!(
-                    out,
-                    "{} slice {:>3} @ {:>10} insns  {:>4} delta page(s)  parent {:<16}  {}",
-                    e.id,
-                    meta.slice_index,
-                    meta.global_icount,
-                    delta_pages,
-                    parent.map(|p| p.to_string()).unwrap_or_else(|| "-".into()),
-                    e.name
-                );
-                n += 1;
-            }
-            let _ = write!(out, "{n} snapshot(s)");
-            Ok(out)
-        }
-        "rm" => {
-            let name = args.pos(1, "name")?;
-            // Type-check first: `snapshot rm` must only ever drop
-            // snapshot refs.
-            store
-                .snapshot_info(name)
-                .map_err(|e| err(format!("snapshot rm: {e}")))?;
-            store
-                .remove(name)
-                .map_err(|e| err(format!("snapshot rm: {e}")))?;
-            Ok(format!(
-                "removed snapshot `{name}` (run `elfie store gc` to reclaim)"
-            ))
-        }
-        other => Err(err(format!(
-            "unknown snapshot subcommand `{other}` (ls|rm)"
-        ))),
-    }
 }
 
 /// The `trace summarize --request ID <file>...` branch: merges the
@@ -1126,15 +1019,13 @@ fn parse_job_spec(args: &Args) -> Result<elfie_serve::JobSpec, CliError> {
         start: args.opt_u64("start", defaults.start)?,
         length: args.opt_u64("length", defaults.length)?,
         sim: args.opt("sim").unwrap_or(&defaults.sim).to_string(),
-        shards: args.opt_u64("shards", defaults.shards)?,
-        interval: args.opt_u64("interval", defaults.interval)?,
     })
 }
 
 /// Prints one streamed `progress` frame immediately (followers watch
 /// these lines live, so they cannot wait for the final report string).
 fn print_progress(id: u64, shard: u64, phase: elfie_serve::JobPhase) {
-    println!("progress: job #{id} shard {shard} {}", phase.label());
+    println!("progress: job #{id} shard {shard} {}", phase.name());
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 }
@@ -1146,8 +1037,8 @@ fn print_progress(id: u64, shard: u64, phase: elfie_serve::JobPhase) {
 /// exact bytes offline `elfie validate` prints with the same knobs, so
 /// `diff` closes the loop in CI. `busy` and daemon-side failures are
 /// one-line errors with a non-zero exit. `--follow` streams one
-/// `progress:` line per phase change (queued → profile → slice k/K →
-/// stitch → render) before the final report.
+/// `progress:` line per phase change (queued → run) before the final
+/// report.
 pub fn cmd_submit(args: &Args) -> Result<String, CliError> {
     let spec = parse_job_spec(args)?;
     let tenant = args.opt("tenant").unwrap_or("default");
@@ -1275,16 +1166,9 @@ COMMANDS:
   simulate <file> [--sim sniper|coresim|coresim-fs|gem5-nehalem|gem5-haswell]
          [--sysstate DIR] [--trace FILE] [--stats-json FILE]
                                          simulate an ELFie
-  simulate <pinball-dir> <name> | <bundle-file> [--sim NAME] [--shards N]
-         [--snapshot-interval N] [--snapshot-store DIR]
+  simulate <pinball-dir> <name> | <bundle-file> [--sim NAME]
                                          simulate a pinball (constrained
-                                         replay); --shards fans interval
-                                         slices over a worker pool and
-                                         stitches a deterministic result
-  snapshot ls [--store DIR]              list stored interval snapshots
-                                         with their parent chain links
-  snapshot rm <name> [--store DIR]       drop a snapshot ref (store gc
-                                         reclaims unreachable deltas)
+                                         replay)
   trace summarize <file>                 roll up a --trace timeline (incl.
                                          ring occupancy / dropped events),
                                          or render --stats-json to text
@@ -1315,8 +1199,7 @@ COMMANDS:
                                          (default listen 127.0.0.1:4254)
   submit <kind> <workload> [--connect ADDR] [--tenant NAME] [--follow]
          [--scale S] [--slice N] [--warmup N] [--maxk N] [--seed N]
-         [--fuel N] [--start N] [--length N] [--sim NAME] [--shards N]
-         [--interval N]
+         [--fuel N] [--start N] [--length N] [--sim NAME]
                                          run one job on a serve daemon and
                                          print its report (kind is one of
                                          record|validate|replay|simulate);
@@ -1351,7 +1234,6 @@ pub const COMMANDS: &[(&str, Handler)] = &[
     ("simulate", cmd_simulate),
     ("disasm", cmd_disasm),
     ("store", cmd_store),
-    ("snapshot", cmd_snapshot),
     ("trace", cmd_trace),
     ("bench", cmd_bench),
     ("serve", cmd_serve),
@@ -1517,6 +1399,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_slice_is_refused_before_profiling() {
+        for cmd in ["simpoint", "validate"] {
+            let e = dispatch(&argv(&format!("{cmd} gcc_like --scale test --slice 0"))).unwrap_err();
+            assert!(
+                e.0.contains("--slice must be at least 1"),
+                "`{cmd}` gave {e}"
+            );
+        }
+    }
+
+    #[test]
     fn validate_command_reports_prediction_and_stats() {
         let out = dispatch(&argv(
             "validate gcc_like --scale test --slice 5000 --warmup 2000 --maxk 6 \
@@ -1630,6 +1523,33 @@ mod tests {
             assert!(
                 COMMANDS.iter().any(|(name, _)| *name == word),
                 "USAGE row `{word}` is not a dispatched command"
+            );
+        }
+    }
+
+    #[test]
+    fn every_usage_option_is_read_by_a_handler() {
+        // Handlers read options by their bare name (`args.opt("sim")`) or
+        // list them as bare flags, so a documented `--name` whose quoted
+        // name appears nowhere else in this file is read by nothing.
+        let whole = include_str!("lib.rs");
+        let src = whole.replacen(USAGE, "", 1);
+        assert_eq!(
+            src.len() + USAGE.len(),
+            whole.len(),
+            "USAGE must appear verbatim in lib.rs"
+        );
+        for rest in USAGE.split("--").skip(1) {
+            let name: String = rest
+                .chars()
+                .take_while(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '-')
+                .collect();
+            if name.is_empty() {
+                continue;
+            }
+            assert!(
+                src.contains(&format!("\"{name}\"")),
+                "USAGE documents `--{name}` but no handler reads it"
             );
         }
     }
@@ -1858,7 +1778,7 @@ mod tests {
     }
 
     #[test]
-    fn simulate_pinball_serial_sharded_and_snapshot_verbs() {
+    fn simulate_pinball_from_dir_and_bundle() {
         let dir = tmp("sim-pinball");
         let pbdir = dir.join("pb");
         dispatch(&argv(&format!(
@@ -1867,7 +1787,7 @@ mod tests {
         )))
         .expect("record");
 
-        // Serial pinball simulation straight from the directory.
+        // Pinball simulation straight from the directory.
         let out = dispatch(&argv(&format!(
             "simulate {} mcf_like --sim gem5-haswell",
             pbdir.display()
@@ -1882,50 +1802,16 @@ mod tests {
             "pinball sim must model the region: {out}"
         );
 
-        // Sharded simulation from a PBAL bundle file, persisting the
-        // snapshot chain into a store.
+        // The same pinball as a PBAL bundle file simulates identically.
         let pb = Pinball::load_dir(&pbdir, "mcf_like").expect("load");
         let bundle = dir.join("mcf.pball");
         std::fs::write(&bundle, pb.to_bytes()).unwrap();
-        let storedir = dir.join("repo");
-        let out = dispatch(&argv(&format!(
-            "simulate {} --sim gem5-haswell --shards 4 --snapshot-interval 1000 \
-             --snapshot-store {}",
-            bundle.display(),
-            storedir.display()
+        let from_bundle = dispatch(&argv(&format!(
+            "simulate {} --sim gem5-haswell",
+            bundle.display()
         )))
-        .expect("simulate sharded");
-        assert!(out.contains("sharded:"), "{out}");
-        assert!(out.contains("stored"), "{out}");
-
-        // The chain is visible, parent-linked, and type-safe to remove.
-        let ls = dispatch(&argv(&format!(
-            "snapshot ls --store {}",
-            storedir.display()
-        )))
-        .expect("snapshot ls");
-        assert!(ls.contains("snap.mcf_like.0.1"), "{ls}");
-        assert!(ls.contains("snap.mcf_like.0.2"), "{ls}");
-        assert!(!ls.contains("0 snapshot(s)"), "{ls}");
-        assert!(dispatch(&argv(&format!(
-            "snapshot rm nothere --store {}",
-            storedir.display()
-        )))
-        .is_err());
-
-        // Dropping the first link must not let gc sweep it: later
-        // snapshots still chain to it through parent manifests.
-        dispatch(&argv(&format!(
-            "snapshot rm snap.mcf_like.0.1 --store {}",
-            storedir.display()
-        )))
-        .expect("snapshot rm");
-        let out =
-            dispatch(&argv(&format!("store gc --store {}", storedir.display()))).expect("store gc");
-        assert!(
-            out.contains("removed 0 manifest(s)"),
-            "chain keeps parents alive: {out}"
-        );
+        .expect("simulate bundle");
+        assert_eq!(from_bundle, out);
         std::fs::remove_dir_all(&dir).ok();
     }
 

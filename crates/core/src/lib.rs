@@ -84,11 +84,7 @@ pub mod prelude {
     pub use elfie_pinball::{Pinball, RegionInfo, RegionTrigger};
     pub use elfie_pinball2elf::{convert, ConvertOptions, Elfie, RemapMode};
     pub use elfie_pinplay::{Logger, LoggerConfig, ReplayConfig, Replayer};
-    pub use elfie_sim::{
-        simulate_elfie, simulate_pinball, simulate_pinball_sharded,
-        simulate_pinball_sharded_with_progress, simulate_program, ShardConfig, ShardPhase,
-        Simulator,
-    };
+    pub use elfie_sim::{simulate_elfie, simulate_pinball, simulate_program, Simulator};
     pub use elfie_simpoint::{PinPoints, PinPointsConfig};
     pub use elfie_store::{Store, StoreError, StoreStats};
     pub use elfie_sysstate::SysState;

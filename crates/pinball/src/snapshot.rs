@@ -12,12 +12,10 @@
 //! and the hardware-model cache tags that make resumed *timing*
 //! bit-identical, not just resumed architectural state.
 //!
-//! Snapshots are taken every N instructions during a profiling replay and
-//! persisted as *chained* manifests in `elfie-store` (each child
-//! references its parent; only delta pages become new blobs). The sharded
-//! simulator boots one worker per snapshot and simulates only the slice up
-//! to the next snapshot, which is what turns O(region) simulate wall-time
-//! into O(region / workers).
+//! Snapshots are taken every N instructions during a replay and persisted
+//! as *chained* manifests in `elfie-store` (each child references its
+//! parent; only delta pages become new blobs). A replay resumed from a
+//! snapshot continues the region without re-executing its prefix.
 //!
 //! This crate only defines the *data* and its codec; capturing from and
 //! resuming into a live machine lives in `elfie-pinplay` (which owns the
@@ -33,8 +31,8 @@ pub const SNAPSHOT_MAGIC: &[u8; 4] = b"PBSN";
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// Where in the region (and in the replay-injection streams) a snapshot
-/// was taken. All counters are cumulative since region entry, so a worker
-/// booting from the snapshot continues them and its final totals match a
+/// was taken. All counters are cumulative since region entry, so a replay
+/// resumed from the snapshot continues them and its final totals match a
 /// serial replay's bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SnapshotMeta {

@@ -396,7 +396,7 @@ impl Replayer {
     /// returned [`ReplaySession`] exposes the same execution
     /// [`Replayer::replay_full_with_source`] performs, but pausable at
     /// instruction-count boundaries — the building block for interval
-    /// snapshots and sharded simulation.
+    /// snapshots.
     pub fn session_with<'a, O: Observer>(
         &self,
         pinball: &'a Pinball,
@@ -552,8 +552,7 @@ pub enum SessionStep {
 /// (after spawned-thread adoption, before the next round-robin sweep), so
 /// a session resumed from a capture walks exactly the state sequence the
 /// capturing session walked: same interleaving, same injections, same
-/// cycle charges. That invariant is what lets sharded simulation prove
-/// bit-identity against serial replay.
+/// cycle charges: a resumed replay is bit-identical to serial replay.
 ///
 /// Snapshot capture assumes the pinball's pages were booted from the
 /// region's memory image (any [`BootMode`]); with a lazy [`PageSource`]

@@ -5,12 +5,15 @@
 //! two ways — re-capturing at the next boundary must reproduce the next
 //! snapshot *byte for byte*, and running the last slice to completion
 //! must reproduce the serial replay's summary and final machine state
-//! bit for bit.
+//! bit for bit. Hand-written programs cover the edge cases; every
+//! workload of the int, fp and multi-threaded speed suites covers real
+//! programs.
 
 use elfie_isa::{assemble, Fnv64};
 use elfie_pinball::{RegImage, RegionTrigger, Snapshot};
 use elfie_pinplay::{Logger, LoggerConfig, ReplayConfig, Replayer, SessionStep};
-use elfie_vm::{Machine, Observer};
+use elfie_vm::{Machine, MachineConfig, Observer};
+use elfie_workloads::{suite_fp, suite_int, suite_speed_mt, InputScale, Workload};
 
 fn counter_program(iters: u64) -> elfie_isa::Program {
     assemble(&format!(
@@ -119,12 +122,15 @@ fn machine_digest<O: Observer>(m: &Machine<O>) -> u64 {
     h.u64(m.global_icount()).u64(m.cycles()).finish()
 }
 
-/// Replays `pb` serially while capturing a snapshot every `interval`
-/// instructions, then re-runs every slice from its snapshot and checks
-/// each slice reproduces the next snapshot byte-for-byte (or, for the
-/// last slice, the serial end state).
-fn check_chain(pb: &elfie_pinball::Pinball, interval: u64) -> usize {
-    let replayer = Replayer::new(ReplayConfig::default());
+/// Replays `pb` serially on a `machine`-configured replayer while
+/// capturing a snapshot every `interval` instructions, then re-runs every
+/// slice from its snapshot and checks each slice reproduces the next
+/// snapshot byte-for-byte (or, for the last slice, the serial end state).
+fn check_chain(pb: &elfie_pinball::Pinball, machine: MachineConfig, interval: u64) -> usize {
+    let replayer = Replayer::new(ReplayConfig {
+        machine,
+        ..ReplayConfig::default()
+    });
 
     // Producer pass: serial run with interval captures.
     let mut session = replayer.session_with(pb, elfie_vm::NullObserver, None, |_| {});
@@ -132,7 +138,10 @@ fn check_chain(pb: &elfie_pinball::Pinball, interval: u64) -> usize {
     let mut boundary = interval;
     while let SessionStep::Paused = session.run_until(Some(boundary)) {
         snaps.push(session.capture(snaps.len() as u64 + 1, interval));
-        boundary += interval;
+        // One scheduling sweep can cross several boundaries when the
+        // interval is finer than a sweep; aim for the next multiple
+        // strictly ahead of where the pause landed.
+        boundary = (session.global_icount() / interval + 1) * interval;
     }
     let (serial_summary, serial_m) = session.finish();
     assert!(
@@ -190,7 +199,7 @@ fn single_thread_chain_is_bit_identical() {
     ))
     .capture(&counter_program(5_000), map_array)
     .expect("captures");
-    let n = check_chain(&pb, 700);
+    let n = check_chain(&pb, MachineConfig::default(), 700);
     assert!(n >= 4, "expected several snapshots, got {n}");
 }
 
@@ -204,7 +213,7 @@ fn fine_interval_chain_is_bit_identical() {
     .capture(&counter_program(5_000), map_array)
     .expect("captures");
     // Finer than the 64-insn scheduling slice: pauses land mid-thread-turn.
-    let n = check_chain(&pb, 150);
+    let n = check_chain(&pb, MachineConfig::default(), 150);
     assert!(n >= 10, "expected a long chain, got {n}");
 }
 
@@ -223,7 +232,7 @@ fn multithreaded_chain_with_races_is_bit_identical() {
     .expect("captures");
     assert!(pb.threads.len() >= 2, "both threads captured");
     assert!(!pb.races.order.is_empty(), "atomic order recorded");
-    let n = check_chain(&pb, 200);
+    let n = check_chain(&pb, MachineConfig::default(), 200);
     assert!(n >= 3, "expected several snapshots, got {n}");
 }
 
@@ -274,4 +283,51 @@ fn snapshot_delta_shrinks_with_position_independent_of_interval() {
     );
     direct.meta.interval = 0; // meta differences only affect meta bytes
     assert_ne!(a.to_bytes(), direct.to_bytes());
+}
+
+/// Region placement and fine interval for the workload suites: a trigger
+/// past start-up, a region long enough for a dozen snapshots.
+const SUITE_TRIGGER: u64 = 2_000;
+const SUITE_REGION: u64 = 8_000;
+const SUITE_INTERVAL: u64 = 600;
+
+fn check_suite(suite: Vec<Workload>, machine: MachineConfig) {
+    for w in suite {
+        let pb = Logger::new(LoggerConfig::fat(
+            &w.name,
+            RegionTrigger::GlobalIcount(SUITE_TRIGGER),
+            SUITE_REGION,
+        ))
+        .capture(&w.program, |m| w.setup(m))
+        .unwrap_or_else(|e| panic!("{}: capture failed: {e:?}", w.name));
+        let n = check_chain(&pb, machine.clone(), SUITE_INTERVAL);
+        assert!(
+            n > 0,
+            "{}: the fine interval must produce snapshots",
+            w.name
+        );
+    }
+}
+
+#[test]
+fn int_suite_chains_are_bit_identical() {
+    check_suite(suite_int(InputScale::Test), MachineConfig::default());
+}
+
+#[test]
+fn fp_suite_chains_are_bit_identical() {
+    check_suite(suite_fp(InputScale::Test), MachineConfig::default());
+}
+
+#[test]
+fn mt_suite_chains_are_bit_identical_with_a_coarse_quantum() {
+    // A 256-instruction quantum, coarser than the default 64: pauses
+    // land mid-turn.
+    check_suite(
+        suite_speed_mt(InputScale::Test, 2),
+        MachineConfig {
+            quantum: 256,
+            ..MachineConfig::default()
+        },
+    );
 }

@@ -298,12 +298,6 @@ pub struct JobSpec {
     pub length: u64,
     /// Simulate: simulator name (`coresim`, `sniper`, …).
     pub sim: String,
-    /// Simulate: number of shards for intra-region sharded simulation
-    /// (0 = unsharded single pass).
-    pub shards: u64,
-    /// Simulate: snapshot interval in instructions for sharded
-    /// simulation (0 = derive from `length`/`shards`).
-    pub interval: u64,
 }
 
 impl Default for JobSpec {
@@ -320,8 +314,6 @@ impl Default for JobSpec {
             start: 0,
             length: 100_000,
             sim: "coresim".to_string(),
-            shards: 0,
-            interval: 0,
         }
     }
 }
@@ -341,8 +333,6 @@ impl JobSpec {
             ("start", Json::U64(self.start)),
             ("length", Json::U64(self.length)),
             ("sim", s(&self.sim)),
-            ("shards", Json::U64(self.shards)),
-            ("interval", Json::U64(self.interval)),
         ])
     }
 
@@ -365,8 +355,6 @@ impl JobSpec {
             start: u64_field(doc, "start", d.start)?,
             length: u64_field(doc, "length", d.length)?,
             sim: str_field(doc, "sim", &d.sim)?.to_string(),
-            shards: u64_field(doc, "shards", d.shards)?,
-            interval: u64_field(doc, "interval", d.interval)?,
         })
     }
 }
@@ -375,63 +363,36 @@ impl JobSpec {
 // Job phases
 // ---------------------------------------------------------------------------
 
-/// A job's position in its lifecycle. Shard workers publish these into
-/// the job table as they run; `submit --follow` and `jobs --watch`
-/// clients receive them as [`Response::Progress`] frames.
+/// A job's position in its lifecycle. The scheduler publishes these
+/// into the job table; `submit --follow` and `jobs --watch` clients
+/// receive them as [`Response::Progress`] frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobPhase {
     /// Admitted; waiting in a shard's bounded queue.
     Queued,
-    /// Profiling the region (reference run / BBV scan).
-    Profile,
-    /// Sharded simulate: slice `done` of `total` finished.
-    Slice {
-        /// Slices completed so far.
-        done: u64,
-        /// Total slices in the job.
-        total: u64,
-    },
-    /// Merging per-slice results back into one timeline.
-    Stitch,
-    /// Rendering the final report text.
-    Render,
+    /// Dequeued by a shard worker and running.
+    Run,
 }
 
 impl JobPhase {
-    /// The stable wire name.
+    /// The stable wire name, also shown in `jobs` rows and `--follow`
+    /// output.
     pub fn name(self) -> &'static str {
         match self {
             JobPhase::Queued => "queued",
-            JobPhase::Profile => "profile",
-            JobPhase::Slice { .. } => "slice",
-            JobPhase::Stitch => "stitch",
-            JobPhase::Render => "render",
+            JobPhase::Run => "run",
         }
     }
 
-    /// Human-readable form (`slice 3/8`), used in `jobs` rows and
-    /// `--follow` output.
-    pub fn label(self) -> String {
-        match self {
-            JobPhase::Slice { done, total } => format!("slice {done}/{total}"),
-            other => other.name().to_string(),
-        }
-    }
-
-    /// Parses the wire name plus the slice progress fields.
+    /// Parses the wire name.
     ///
     /// # Errors
     /// Unknown phase names are typed errors listing the valid set.
-    pub fn parse(name: &str, done: u64, total: u64) -> Result<JobPhase, String> {
+    pub fn parse(name: &str) -> Result<JobPhase, String> {
         match name {
             "queued" => Ok(JobPhase::Queued),
-            "profile" => Ok(JobPhase::Profile),
-            "slice" => Ok(JobPhase::Slice { done, total }),
-            "stitch" => Ok(JobPhase::Stitch),
-            "render" => Ok(JobPhase::Render),
-            other => Err(format!(
-                "unknown job phase `{other}` (queued|profile|slice|stitch|render)"
-            )),
+            "run" => Ok(JobPhase::Run),
+            other => Err(format!("unknown job phase `{other}` (queued|run)")),
         }
     }
 }
@@ -543,8 +504,7 @@ pub struct JobSummary {
     pub shard: u64,
     /// `queued`/`running`/`done`/`failed`.
     pub state: String,
-    /// Latest published phase label (`slice 3/8`, …); empty when the
-    /// job has not published one.
+    /// Latest published phase name (`queued`/`run`).
     pub phase: String,
 }
 
@@ -754,19 +714,12 @@ impl Response {
             Response::Metrics { metrics } => {
                 obj(vec![("type", s("metrics")), ("metrics", metrics.to_json())])
             }
-            Response::Progress { id, shard, phase } => {
-                let mut fields = vec![
-                    ("type", s("progress")),
-                    ("id", Json::U64(*id)),
-                    ("shard", Json::U64(*shard)),
-                    ("phase", s(phase.name())),
-                ];
-                if let JobPhase::Slice { done, total } = phase {
-                    fields.push(("done", Json::U64(*done)));
-                    fields.push(("total", Json::U64(*total)));
-                }
-                obj(fields)
-            }
+            Response::Progress { id, shard, phase } => obj(vec![
+                ("type", s("progress")),
+                ("id", Json::U64(*id)),
+                ("shard", Json::U64(*shard)),
+                ("phase", s(phase.name())),
+            ]),
             Response::Bye { drained } => {
                 obj(vec![("type", s("bye")), ("drained", Json::U64(*drained))])
             }
@@ -823,11 +776,7 @@ impl Response {
             "progress" => Ok(Response::Progress {
                 id: u64_field(doc, "id", 0)?,
                 shard: u64_field(doc, "shard", 0)?,
-                phase: JobPhase::parse(
-                    str_field(doc, "phase", "")?,
-                    u64_field(doc, "done", 0)?,
-                    u64_field(doc, "total", 0)?,
-                )?,
+                phase: JobPhase::parse(str_field(doc, "phase", "")?)?,
             }),
             "bye" => Ok(Response::Bye {
                 drained: u64_field(doc, "drained", 0)?,
@@ -877,13 +826,7 @@ mod tests {
 
     #[test]
     fn progress_frames_roundtrip_and_unknown_phases_are_typed_errors() {
-        for phase in [
-            JobPhase::Queued,
-            JobPhase::Profile,
-            JobPhase::Slice { done: 3, total: 8 },
-            JobPhase::Stitch,
-            JobPhase::Render,
-        ] {
+        for phase in [JobPhase::Queued, JobPhase::Run] {
             let resp = Response::Progress {
                 id: 7,
                 shard: 2,
@@ -891,10 +834,12 @@ mod tests {
             };
             assert_eq!(Response::from_json(&resp.to_json()).unwrap(), resp);
         }
-        let doc = Json::parse(r#"{"type":"progress","id":1,"phase":"warp"}"#).unwrap();
-        let err = Response::from_json(&doc).unwrap_err();
-        assert!(err.contains("warp") && err.contains("job phase"), "{err}");
-        assert_eq!(JobPhase::Slice { done: 3, total: 8 }.label(), "slice 3/8");
+        for name in ["warp", "slice", "render"] {
+            let doc =
+                Json::parse(&format!(r#"{{"type":"progress","id":1,"phase":"{name}"}}"#)).unwrap();
+            let err = Response::from_json(&doc).unwrap_err();
+            assert!(err.contains(name) && err.contains("job phase"), "{err}");
+        }
     }
 
     #[test]

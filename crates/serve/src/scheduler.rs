@@ -70,7 +70,8 @@ pub enum Enqueued {
         /// Its queue capacity.
         capacity: u64,
     },
-    /// The job never reached a shard (invalid tenant, draining daemon).
+    /// The job never reached a shard (invalid tenant, zero validate
+    /// slice, draining daemon).
     Rejected(String),
 }
 
@@ -86,7 +87,8 @@ pub enum Submitted {
         /// Its queue capacity.
         capacity: u64,
     },
-    /// The job never reached a shard (invalid tenant, draining daemon).
+    /// The job never reached a shard (invalid tenant, zero validate
+    /// slice, draining daemon).
     Rejected(String),
 }
 
@@ -130,8 +132,8 @@ const RETAINED_JOBS: usize = 1024;
 #[derive(Default)]
 struct TableState {
     rows: BTreeMap<u64, JobSummary>,
-    /// Typed phase *history* per job (consecutive duplicates elided;
-    /// the row carries only the latest display label). A follower that
+    /// Typed phase *history* per job (`queued`, then `run`; the row
+    /// carries only the latest phase name). A follower that
     /// wakes late replays the tail it has not sent yet, so no phase
     /// transition is ever lost to polling. Evicted with the row.
     phases: BTreeMap<u64, Vec<JobPhase>>,
@@ -181,14 +183,13 @@ impl JobTable {
         }
     }
 
-    fn set_phase(&self, id: u64, phase: JobPhase) {
+    /// Marks a dequeued job `running` and publishes its [`JobPhase::Run`].
+    fn set_running(&self, id: u64) {
         let mut state = self.state.lock().unwrap();
         if let Some(row) = state.rows.get_mut(&id) {
-            row.phase = phase.label();
-            let hist = state.phases.entry(id).or_default();
-            if hist.last() != Some(&phase) {
-                hist.push(phase);
-            }
+            row.state = RUNNING.to_string();
+            row.phase = JobPhase::Run.name().to_string();
+            state.phases.entry(id).or_default().push(JobPhase::Run);
             self.bump(&mut state);
         }
     }
@@ -402,6 +403,9 @@ impl Scheduler {
                 "invalid tenant `{tenant}` (1-64 chars of [A-Za-z0-9._-])"
             ));
         }
+        if spec.kind == JobKind::Validate && spec.slice == 0 {
+            return Enqueued::Rejected("slice must be at least 1 instruction".to_string());
+        }
         let shard = shard_of(tenant, &spec.workload, self.senders.len());
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (reply_tx, reply_rx) = mpsc::sync_channel::<JobOutcome>(1);
@@ -423,7 +427,7 @@ impl Scheduler {
             workload: spec.workload.clone(),
             shard: shard as u64,
             state: QUEUED.to_string(),
-            phase: JobPhase::Queued.label(),
+            phase: JobPhase::Queued.name().to_string(),
         });
         match self.senders[shard].try_send(job) {
             Ok(()) => {}
@@ -605,7 +609,7 @@ fn shard_worker(shard: usize, rx: &mpsc::Receiver<ShardJob>, shared: &Shared) {
             m.shard_depth[shard].adjust(-1);
         }
         let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
-        shared.table.set_state(job.id, RUNNING);
+        shared.table.set_running(job.id);
         let cache = tenant_cache(&mut tenants, &job.tenant, shared);
         let t0 = Instant::now();
         let result = {
@@ -620,7 +624,7 @@ fn shard_worker(shard: usize, rx: &mpsc::Receiver<ShardJob>, shared: &Shared) {
                 span.arg("request_id", job.rid);
             }
             match cache {
-                Ok(ref cache) => execute(&job.spec, job.id, cache, shared),
+                Ok(ref cache) => execute(&job.spec, cache, shared),
                 Err(ref e) => Err(e.clone()),
             }
         };
@@ -678,14 +682,8 @@ fn tenant_cache(
 
 /// Runs one job against the tenant's cache. Validate reports are the
 /// canonical [`elfie::render::validation_report`] bytes — bit-identical
-/// to offline `elfie validate` with the same knobs. `id` is the job's
-/// table row, where phase progress is published.
-fn execute(
-    spec: &JobSpec,
-    id: u64,
-    cache: &Arc<PipelineCache>,
-    shared: &Shared,
-) -> Result<String, String> {
+/// to offline `elfie validate` with the same knobs.
+fn execute(spec: &JobSpec, cache: &Arc<PipelineCache>, shared: &Shared) -> Result<String, String> {
     let scale = InputScale::parse(&spec.scale)?;
     let w = elfie::workloads::find_workload(&spec.workload, scale)
         .ok_or_else(|| format!("unknown workload `{}`", spec.workload))?;
@@ -736,50 +734,10 @@ fn execute(
         JobKind::Simulate => {
             let pb = captured_region(cache, &w, spec)?;
             let sim = simulator_by_name(&spec.sim)?;
-            if spec.shards == 0 {
-                let o = elfie::sim::simulate_pinball(&pb, &sim);
-                return Ok(format!(
-                    "sim {} on {}: {} cycles, IPC {:.4}, CPI {:.4}, exit {:?}\n",
-                    spec.sim, pb.region.name, o.cycles, o.ipc, o.cpi, o.exit
-                ));
-            }
-            let cfg = ShardConfig {
-                shards: spec.shards as usize,
-                interval: if spec.interval > 0 {
-                    spec.interval
-                } else {
-                    // Aim for one slice per shard over the region.
-                    (spec.length / spec.shards).max(1)
-                },
-            };
-            let table = &shared.table;
-            let sharded = elfie::sim::simulate_pinball_sharded_with_progress(
-                &pb,
-                &sim,
-                &cfg,
-                &|p: ShardPhase| {
-                    table.set_phase(
-                        id,
-                        match p {
-                            ShardPhase::Profile => JobPhase::Profile,
-                            ShardPhase::Slice { done, total } => JobPhase::Slice { done, total },
-                            ShardPhase::Stitch => JobPhase::Stitch,
-                        },
-                    );
-                },
-            );
-            table.set_phase(id, JobPhase::Render);
-            let o = &sharded.outcome;
+            let o = elfie::sim::simulate_pinball(&pb, &sim);
             Ok(format!(
-                "sim {} on {} ({} slices, {} workers): {} cycles, IPC {:.4}, CPI {:.4}, exit {:?}\n",
-                spec.sim,
-                pb.region.name,
-                sharded.slices.len(),
-                sharded.workers,
-                o.cycles,
-                o.ipc,
-                o.cpi,
-                o.exit
+                "sim {} on {}: {} cycles, IPC {:.4}, CPI {:.4}, exit {:?}\n",
+                spec.sim, pb.region.name, o.cycles, o.ipc, o.cpi, o.exit
             ))
         }
     }
@@ -866,6 +824,25 @@ mod tests {
         let mut sched = Scheduler::start(dir.clone(), ServeConfig::default(), None);
         match sched.submit("../evil", JobSpec::default()) {
             Submitted::Rejected(msg) => assert!(msg.contains("invalid tenant"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(sched.jobs().is_empty(), "nothing was tabled");
+        sched.drain();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_validate_slice_is_rejected_before_any_queueing() {
+        let dir = std::env::temp_dir().join(format!("elfie-sched-slice-{}", std::process::id()));
+        let mut sched = Scheduler::start(dir.clone(), ServeConfig::default(), None);
+        let spec = JobSpec {
+            workload: "gcc_like".to_string(),
+            scale: "test".to_string(),
+            slice: 0,
+            ..JobSpec::default()
+        };
+        match sched.submit("acme", spec) {
+            Submitted::Rejected(msg) => assert!(msg.contains("slice must be at least 1"), "{msg}"),
             other => panic!("{other:?}"),
         }
         assert!(sched.jobs().is_empty(), "nothing was tabled");

@@ -273,34 +273,6 @@ pub struct SimStats {
     pub kernel_footprint_lines: u64,
 }
 
-impl SimStats {
-    /// Folds `other` into `self`, summing every counter and merging the
-    /// per-thread map. Used by the sharded simulator to stitch per-slice
-    /// statistics: the event counters are additive across consecutive
-    /// slices, but the footprint fields are *per-slice distinct* counts, so
-    /// the stitched footprint is the sum of per-slice cardinalities (an
-    /// upper bound on the true distinct-line count — lines touched in two
-    /// slices are counted twice).
-    pub fn absorb(&mut self, other: &SimStats) {
-        self.user_insns = self.user_insns.saturating_add(other.user_insns);
-        self.kernel_insns = self.kernel_insns.saturating_add(other.kernel_insns);
-        for (&tid, &n) in &other.per_thread {
-            let e = self.per_thread.entry(tid).or_insert(0);
-            *e = e.saturating_add(n);
-        }
-        self.mispredicts = self.mispredicts.saturating_add(other.mispredicts);
-        self.l1d_misses = self.l1d_misses.saturating_add(other.l1d_misses);
-        self.l2_misses = self.l2_misses.saturating_add(other.l2_misses);
-        self.l3_misses = self.l3_misses.saturating_add(other.l3_misses);
-        self.dtlb_misses = self.dtlb_misses.saturating_add(other.dtlb_misses);
-        self.prefetches = self.prefetches.saturating_add(other.prefetches);
-        self.footprint_lines = self.footprint_lines.saturating_add(other.footprint_lines);
-        self.kernel_footprint_lines = self
-            .kernel_footprint_lines
-            .saturating_add(other.kernel_footprint_lines);
-    }
-}
-
 /// The timing observer.
 pub struct TimingObserver {
     params: CoreParams,

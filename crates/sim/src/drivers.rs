@@ -110,7 +110,7 @@ impl Simulator {
         }
     }
 
-    pub(crate) fn observer(&self) -> TimingObserver {
+    fn observer(&self) -> TimingObserver {
         TimingObserver::new(
             self.params,
             self.ncores,
@@ -123,7 +123,7 @@ impl Simulator {
         )
     }
 
-    pub(crate) fn machine_config(&self) -> MachineConfig {
+    fn machine_config(&self) -> MachineConfig {
         MachineConfig {
             seed: self.seed,
             quantum: self.quantum,
@@ -187,7 +187,7 @@ fn outcome(
     }
 }
 
-pub(crate) fn collect_icounts<O: elfie_vm::Observer>(m: &Machine<O>) -> BTreeMap<u32, u64> {
+fn collect_icounts<O: elfie_vm::Observer>(m: &Machine<O>) -> BTreeMap<u32, u64> {
     m.threads.iter().map(|t| (t.tid, t.icount)).collect()
 }
 

@@ -13,23 +13,11 @@
 //! need **no simulator modifications**: [`drivers::simulate_elfie`] is the
 //! ordinary program path plus the emulated ELF loader, while pinballs need
 //! the dedicated replay-aware path ([`drivers::simulate_pinball`]).
-//!
-//! Long regions can additionally be simulated in parallel *within* the
-//! region: [`shard::simulate_pinball_sharded`] runs a fast functional
-//! profiling pass that captures interval snapshots, fans the slices out
-//! over a worker pool, and deterministically stitches the per-slice
-//! results (`O(region / workers)` wall time; see [`shard`] for the
-//! determinism contract).
 
 pub mod cache;
 pub mod core;
 pub mod drivers;
-pub mod shard;
 
 pub use crate::core::{CoreParams, KernelModel, RoiMode, SimStats, TimingObserver};
 pub use cache::{Cache, CacheParams, NextLinePrefetcher, Tlb};
 pub use drivers::{simulate_elfie, simulate_pinball, simulate_program, SimOutcome, Simulator};
-pub use shard::{
-    simulate_pinball_sharded, simulate_pinball_sharded_with_progress, ShardConfig, ShardPhase,
-    ShardedOutcome, SliceReport,
-};

@@ -44,7 +44,7 @@ pub mod profiles;
 
 use codec::{Codec, CodecError};
 use elfie_pinball::wire::{Reader, WireError, Writer};
-use elfie_pinball::{MemoryImage, PageRecord, Pinball, PinballError, Snapshot, SnapshotMeta};
+use elfie_pinball::{MemoryImage, PageRecord, Pinball, PinballError, Snapshot};
 use elfie_trace::Tracer;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -899,34 +899,6 @@ impl Store {
             snapshot.delta.insert(p.addr, rec);
         }
         Ok((snapshot, m.parent))
-    }
-
-    /// Light-weight snapshot inspection: decodes the manifest and the
-    /// state blob only — no delta pages are fetched — returning the
-    /// snapshot's metadata, its parent's object id, and the number of
-    /// delta pages recorded in the manifest. This is what `snapshot ls`
-    /// uses to render a chain without materialising it.
-    ///
-    /// # Errors
-    /// Returns [`StoreError::NotFound`] for unknown names and
-    /// [`StoreError::Corrupt`] when `name` is not a snapshot or fails
-    /// integrity checks.
-    pub fn snapshot_info(
-        &self,
-        name: &str,
-    ) -> Result<(SnapshotMeta, Option<ObjectId>, u64), StoreError> {
-        let (_, m) = self.manifest(name)?;
-        if m.kind != ObjectKind::Snapshot {
-            return Err(StoreError::Corrupt(format!(
-                "`{name}` is a {} object, not a snapshot",
-                m.kind
-            )));
-        }
-        let (state_hash, _) = m.skeleton.ok_or_else(|| {
-            StoreError::Corrupt(format!("snapshot manifest `{name}` lacks a state blob"))
-        })?;
-        let snapshot = Snapshot::from_state_bytes(&self.get_blob(state_hash)?)?;
-        Ok((snapshot.meta, m.parent, m.image_pages.len() as u64))
     }
 
     /// True when an object named `name` exists.

@@ -6,7 +6,8 @@
 //! 2. baseline documents **round-trip exactly** through the v1 JSON
 //!    schema (field-for-field and as a render→parse→render fixed point);
 //! 3. every checked-in `BENCH_*.json` parses under the shared schema, so
-//!    snapshots cannot drift back to ad-hoc shapes;
+//!    snapshots cannot drift back to ad-hoc shapes, and CI gates each
+//!    one;
 //! 4. a synthetically 2×-slower candidate trips the gate with an
 //!    actionable per-metric diff (the negative self-test for CI).
 
@@ -181,12 +182,34 @@ fn checked_in_baselines_follow_the_v1_schema() {
         "BENCH_mem.json",
         "BENCH_trace.json",
         "BENCH_fleet.json",
-        "BENCH_shard.json",
+        "BENCH_serve.json",
     ] {
         assert!(
             found.iter().any(|n| n == required),
             "baseline {required} is missing (found {found:?})"
         );
+    }
+}
+
+/// Every checked-in baseline is gated by a `bench check --baseline`
+/// step of CI's workflow; a baseline nothing checks gates nothing.
+#[test]
+fn every_checked_in_baseline_is_gated_in_ci() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..");
+    let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("ci.yml");
+    for entry in std::fs::read_dir(&root).expect("repo root") {
+        let name = entry.expect("dir entry").file_name();
+        let name = name.to_string_lossy();
+        if name.starts_with("BENCH_") && name.ends_with(".json") {
+            let gate = format!("bench check --baseline {name} ");
+            assert!(
+                ci.lines().any(|l| l.contains(&gate)),
+                "baseline {name} is not gated by any `{}` line of ci.yml",
+                gate.trim_end()
+            );
+        }
     }
 }
 

@@ -28,15 +28,9 @@ fn spec_strategy() -> impl Strategy<Value = JobSpec> {
         (kind_strategy(), ".*", ".*", ".*"),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>()),
     )
         .prop_map(
-            |(
-                (kind, workload, scale, sim),
-                (slice, warmup, maxk, seed),
-                (fuel, start, length),
-                (shards, interval),
-            )| {
+            |((kind, workload, scale, sim), (slice, warmup, maxk, seed), (fuel, start, length))| {
                 JobSpec {
                     kind,
                     workload,
@@ -49,8 +43,6 @@ fn spec_strategy() -> impl Strategy<Value = JobSpec> {
                     start,
                     length,
                     sim,
-                    shards,
-                    interval,
                 }
             },
         )
@@ -95,13 +87,7 @@ fn summary_strategy() -> impl Strategy<Value = JobSummary> {
 }
 
 fn phase_strategy() -> impl Strategy<Value = JobPhase> {
-    prop_oneof![
-        Just(JobPhase::Queued),
-        Just(JobPhase::Profile),
-        (any::<u64>(), any::<u64>()).prop_map(|(done, total)| JobPhase::Slice { done, total }),
-        Just(JobPhase::Stitch),
-        Just(JobPhase::Render),
-    ]
+    prop_oneof![Just(JobPhase::Queued), Just(JobPhase::Run)]
 }
 
 fn histogram_strategy() -> impl Strategy<Value = HistogramSnapshot> {
@@ -323,8 +309,14 @@ proptest! {
 
     /// A `progress` frame whose phase name is outside the wire set is a
     /// typed error naming the offender — never a panic or a default.
+    /// `slice` and `render` are phase names of the retired sharded
+    /// simulate, whose frames also carried `done`/`total`.
     #[test]
-    fn unknown_phase_strings_are_typed_errors(name in ".*", done in any::<u64>(), total in any::<u64>()) {
+    fn unknown_phase_strings_are_typed_errors(
+        name in prop_oneof![".*", Just("slice".to_string()), Just("render".to_string())],
+        done in any::<u64>(),
+        total in any::<u64>(),
+    ) {
         use elfie::trace::json::Json;
         let doc = Json::Obj(vec![
             ("type".to_string(), Json::Str("progress".to_string())),
@@ -335,7 +327,7 @@ proptest! {
             ("total".to_string(), Json::U64(total)),
         ]);
         match (Response::from_json(&doc), name.as_str()) {
-            (Ok(Response::Progress { phase, .. }), "queued" | "profile" | "slice" | "stitch" | "render") => {
+            (Ok(Response::Progress { phase, .. }), "queued" | "run") => {
                 prop_assert_eq!(phase.name(), name.as_str());
             }
             (Ok(resp), other) => {
