@@ -343,6 +343,17 @@ impl PipelineCache {
         Ok(Arc::clone(mem.entry(key).or_insert(value)))
     }
 
+    /// Whether a pinball is held under `key`, in memory or in the
+    /// persistent tier. Counts nothing: this is how a capture pass picks
+    /// the regions it has to capture.
+    pub(crate) fn has_pinball(&self, key: u64) -> bool {
+        self.pinballs.lock().unwrap().contains_key(&key)
+            || self
+                .store
+                .as_ref()
+                .is_some_and(|store| store.contains(&self.pinball_ref(key)))
+    }
+
     /// Opens the pinball stored under `key` in the persistent tier
     /// *lazily*: the returned handle carries only the skeleton (metadata,
     /// registers, logs), and page payloads stream in from the store on

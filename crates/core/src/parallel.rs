@@ -2,15 +2,19 @@
 //!
 //! Validation cost is dominated by independent guest runs: one BBV
 //! profiling run per workload, one whole-program measurement per workload,
-//! and one capture→convert→measure chain per cluster. [`BatchValidator`]
-//! fans those units across a scoped worker pool (`std::thread::scope` —
-//! the toolchain's stable scoped-threads API, so no external crate is
-//! needed) while keeping the semantics of the serial path:
+//! one capture pass per workload and one convert→measure chain per
+//! cluster. [`BatchValidator`] fans those units across a scoped worker
+//! pool (`std::thread::scope` — the toolchain's stable scoped-threads API,
+//! so no external crate is needed) in three phases: profile and select;
+//! then each workload's whole-program measurement beside its capture pass
+//! ([`elfie_pinplay::Logger::capture_all`] over every cluster
+//! representative not yet cached); then the cluster chains. It keeps the
+//! semantics of the serial path:
 //!
 //! * the *unit of parallelism is the cluster*, never the candidate — a
 //!   cluster's fallback-to-alternate chain is inherently sequential (an
-//!   alternate is only tried after the representative fails), so it stays
-//!   on one worker;
+//!   alternate is only tried after the representative fails, and is
+//!   captured on demand), so it stays on one worker;
 //! * results are merged in deterministic workload/cluster order, and the
 //!   per-cluster work is the exact same function the serial path runs, so
 //!   a parallel [`crate::pipeline::ValidationReport`] is identical to a
@@ -25,7 +29,7 @@
 
 use crate::cache::PipelineCache;
 use crate::perf::{self, NativeMeasurement};
-use crate::pipeline::{self, ClusterOutcome, PipelineError, ValidationReport};
+use crate::pipeline::{self, Captured, PipelineError, ValidationReport};
 use crate::stats::{PipelineStats, Stage, StatsCollector};
 use elfie_simpoint::{PinPoints, PinPointsConfig};
 use elfie_trace::{MetricsRegistry, Tracer};
@@ -178,25 +182,22 @@ impl BatchValidator {
                 pipeline::select_regions_cached(&workloads[i], cfg, fuel, &self.cache, &stats)
             });
 
-        // Phase 2: one task per whole-program measurement plus one per
-        // cluster chain. The task list is in merge order, so phase output
-        // can be consumed sequentially regardless of completion order.
+        // Phase 2: per workload, the whole-program measurement beside one
+        // capture pass over every cluster representative not yet cached.
+        // Tasks are in merge order, so the output is consumed
+        // sequentially regardless of completion order.
         #[derive(Clone, Copy)]
         enum Task {
             Whole(usize),
-            Cluster(usize, usize),
+            Capture(usize),
         }
         enum Done {
             Whole(NativeMeasurement),
-            Cluster(ClusterOutcome),
+            Captured(Vec<Option<Captured>>),
         }
-        let mut tasks = Vec::new();
-        for (i, selection) in selections.iter().enumerate() {
-            tasks.push(Task::Whole(i));
-            for cluster in 0..selection.k {
-                tasks.push(Task::Cluster(i, cluster));
-            }
-        }
+        let tasks: Vec<Task> = (0..workloads.len())
+            .flat_map(|i| [Task::Whole(i), Task::Capture(i)])
+            .collect();
         let done = run_indexed_traced(
             workers,
             tasks.len(),
@@ -211,44 +212,66 @@ impl BatchValidator {
                         meas
                     }))
                 }
-                Task::Cluster(i, cluster) => {
-                    let _span = match self.tracer.as_ref() {
-                        Some(tr) => tr.span_labeled(
-                            "task",
-                            "cluster",
-                            format!("{}#{cluster}", workloads[i].name),
-                        ),
-                        None => elfie_trace::Span::disabled(),
-                    };
-                    Done::Cluster(pipeline::validate_cluster(
+                Task::Capture(i) => {
+                    let _span = task_span(self.tracer.as_ref(), "capture_pass", &workloads[i].name);
+                    Done::Captured(pipeline::capture_representatives(
                         &workloads[i],
                         &selections[i],
-                        cluster,
-                        seed,
-                        fuel,
                         &self.cache,
                         &stats,
                     ))
                 }
             },
         );
-
-        // Merge in task order: deterministic regardless of scheduling.
-        let mut reports = Vec::with_capacity(workloads.len());
-        let mut done = done.into_iter();
-        for selection in &selections {
-            let whole = match done.next() {
-                Some(Done::Whole(m)) => m,
-                _ => unreachable!("task list starts each workload with Whole"),
-            };
-            let outcomes: Vec<ClusterOutcome> = (0..selection.k)
-                .map(|_| match done.next() {
-                    Some(Done::Cluster(o)) => o,
-                    _ => unreachable!("one Cluster task per cluster"),
-                })
-                .collect();
-            reports.push(pipeline::assemble_report(whole, selection.k, outcomes));
+        let mut wholes = Vec::with_capacity(workloads.len());
+        let mut captured = Vec::with_capacity(workloads.len());
+        for d in done {
+            match d {
+                Done::Whole(m) => wholes.push(m),
+                Done::Captured(c) => captured.push(c),
+            }
         }
+
+        // Phase 3: one task per cluster chain, converting and measuring
+        // what the pass captured (alternates still capture on demand).
+        let clusters: Vec<(usize, usize)> = selections
+            .iter()
+            .enumerate()
+            .flat_map(|(i, selection)| (0..selection.k).map(move |cluster| (i, cluster)))
+            .collect();
+        let outcomes = run_indexed_traced(workers, clusters.len(), self.tracer.as_ref(), |t| {
+            let (i, cluster) = clusters[t];
+            let _span = match self.tracer.as_ref() {
+                Some(tr) => tr.span_labeled(
+                    "task",
+                    "cluster",
+                    format!("{}#{cluster}", workloads[i].name),
+                ),
+                None => elfie_trace::Span::disabled(),
+            };
+            pipeline::validate_cluster(
+                &workloads[i],
+                &selections[i],
+                cluster,
+                captured[i][cluster].clone(),
+                seed,
+                fuel,
+                &self.cache,
+                &stats,
+            )
+        });
+
+        // Merge in workload/cluster order: deterministic regardless of
+        // scheduling.
+        let mut outcomes = outcomes.into_iter();
+        let reports = wholes
+            .into_iter()
+            .zip(&selections)
+            .map(|(whole, selection)| {
+                let chains = outcomes.by_ref().take(selection.k).collect();
+                pipeline::assemble_report(whole, selection.k, chains)
+            })
+            .collect();
 
         let cache_window = self.cache.stats().since(cache_before);
         Ok((reports, stats.finish(t0.elapsed(), workers, cache_window)))

@@ -10,7 +10,7 @@ use crate::stats::{Stage, StatsCollector};
 use elfie_isa::MarkerKind;
 use elfie_pinball::{Pinball, RegionTrigger};
 use elfie_pinball2elf::{convert, ConvertError, ConvertOptions, Elfie};
-use elfie_pinplay::{CaptureError, Logger, LoggerConfig};
+use elfie_pinplay::{CaptureError, CaptureStats, Logger, LoggerConfig};
 use elfie_simpoint::{
     pick, prediction_error, profile_program, profile_program_stats, weighted_prediction, PinPoint,
     PinPoints, PinPointsConfig,
@@ -19,6 +19,7 @@ use elfie_sysstate::SysState;
 use elfie_vm::MachineConfig;
 use elfie_workloads::Workload;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from the end-to-end pipeline.
 #[derive(Debug)]
@@ -73,9 +74,9 @@ pub fn select_regions(w: &Workload, cfg: &PinPointsConfig, fuel: u64) -> PinPoin
     pick(&profile, cfg)
 }
 
-/// Captures a fat pinball for one selected region, including its warm-up
-/// span (the region descriptor records the split).
-pub fn capture_pinpoint(w: &Workload, point: &PinPoint) -> Result<Pinball, CaptureError> {
+/// The logger configuration of one selected region: a fat pinball that
+/// includes the warm-up span (the region descriptor records the split).
+fn pinpoint_window(w: &Workload, point: &PinPoint) -> LoggerConfig {
     let start = point.start_icount.saturating_sub(point.warmup);
     let warmup = point.start_icount - start;
     let mut cfg = LoggerConfig::fat(
@@ -90,7 +91,25 @@ pub fn capture_pinpoint(w: &Workload, point: &PinPoint) -> Result<Pinball, Captu
     cfg.warmup = warmup;
     cfg.weight = point.weight;
     cfg.slice_index = point.slice_index;
-    Logger::new(cfg).capture(&w.program, |m| w.setup(m))
+    cfg
+}
+
+/// Captures a fat pinball for one selected region, including its warm-up
+/// span (the region descriptor records the split).
+pub fn capture_pinpoint(w: &Workload, point: &PinPoint) -> Result<Pinball, CaptureError> {
+    let (mut pinballs, _) = capture_pinpoints(w, &[point]);
+    pinballs.pop().expect("one result per region")
+}
+
+/// Captures fat pinballs for several selected regions in one fast-forward
+/// pass ([`Logger::capture_all`]). Results are in `points` order, each
+/// identical to [`capture_pinpoint`] of that region.
+pub(crate) fn capture_pinpoints(
+    w: &Workload,
+    points: &[&PinPoint],
+) -> (Vec<Result<Pinball, CaptureError>>, CaptureStats) {
+    let windows: Vec<LoggerConfig> = points.iter().map(|p| pinpoint_window(w, p)).collect();
+    Logger::capture_all(&w.program, &windows, |m| w.setup(m))
 }
 
 /// Captures a whole region and produces an ELFie with the standard recipe:
@@ -173,15 +192,50 @@ pub(crate) struct ClusterOutcome {
     pub(crate) sample: Option<(f64, f64)>,
 }
 
+/// A capture result as the cache hands it out.
+pub(crate) type Captured = Result<Arc<Pinball>, CaptureError>;
+
+/// Captures, in one pass, the representative of every cluster whose
+/// pinball is not cached yet. Each result enters `cache` as one miss (and
+/// is written through to the store); a cached representative is left for
+/// its cluster task to look up. Returns the results by cluster, `None`
+/// where nothing was captured. With everything cached no pass runs.
+pub(crate) fn capture_representatives(
+    w: &Workload,
+    points: &PinPoints,
+    cache: &PipelineCache,
+    stats: &StatsCollector,
+) -> Vec<Option<Captured>> {
+    let mut by_cluster: Vec<Option<Captured>> = (0..points.k).map(|_| None).collect();
+    let missing: Vec<(usize, &PinPoint)> = (0..points.k)
+        .filter_map(|cluster| Some((cluster, *points.candidates(cluster).first()?)))
+        .filter(|(_, rep)| !cache.has_pinball(PipelineCache::pinball_key(w, rep)))
+        .collect();
+    if missing.is_empty() {
+        return by_cluster;
+    }
+    let reps: Vec<&PinPoint> = missing.iter().map(|(_, rep)| *rep).collect();
+    let (pinballs, work) = stats.time(Stage::Capture, || capture_pinpoints(w, &reps));
+    stats.record_capture(work);
+    for ((cluster, rep), pinball) in missing.into_iter().zip(pinballs) {
+        by_cluster[cluster] = Some(cache.pinball(PipelineCache::pinball_key(w, rep), || pinball));
+    }
+    by_cluster
+}
+
 /// Runs one cluster's capture→convert→measure chain, falling back to
-/// alternates in rank order until a candidate completes. This is the unit
-/// of work the parallel engine schedules; the serial path runs the exact
-/// same function cluster by cluster, which is what makes the two paths'
-/// reports identical.
+/// alternates in rank order until a candidate completes. `representative`
+/// is the rank-0 pinball when a capture pass already produced it;
+/// otherwise, and for every alternate, the candidate is looked up in the
+/// cache and captured on demand. This is the unit of work the parallel
+/// engine schedules; the serial path runs the exact same function cluster
+/// by cluster, which is what makes the two paths' reports identical.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn validate_cluster(
     w: &Workload,
     points: &PinPoints,
     cluster: usize,
+    mut representative: Option<Captured>,
     seed: u64,
     fuel: u64,
     cache: &PipelineCache,
@@ -198,11 +252,15 @@ pub(crate) fn validate_cluster(
             weight: cand.weight,
             measurement: None,
         };
-        let key = PipelineCache::pinball_key(w, cand);
-        let result = cache
-            .pinball(key, || {
-                stats.time(Stage::Capture, || capture_pinpoint(w, cand))
+        let pinball = representative.take().unwrap_or_else(|| {
+            cache.pinball(PipelineCache::pinball_key(w, cand), || {
+                let (mut pinballs, work) =
+                    stats.time(Stage::Capture, || capture_pinpoints(w, &[cand]));
+                stats.record_capture(work);
+                pinballs.pop().expect("one result per region")
             })
+        });
+        let result = pinball
             .map_err(PipelineError::from)
             .and_then(|pb| {
                 stats

@@ -17,6 +17,7 @@
 use crate::cache::CacheStats;
 use crate::stats::PipelineStats;
 use elfie_pinball::ArenaStats;
+use elfie_pinplay::CaptureStats;
 use elfie_trace::json::Json;
 use elfie_vm::{FastPathStats, MaterializeStats};
 use std::fmt;
@@ -55,6 +56,13 @@ pub(crate) fn write_pipeline(f: &mut fmt::Formatter<'_>, s: &PipelineStats) -> f
         f,
         "  regions: {} attempted, {} failed",
         s.regions_attempted, s.regions_failed
+    )?;
+    writeln!(
+        f,
+        "  capture: {} fast-forwarded insns, {} logged insns at {:.1} MIPS",
+        s.capture.ff_insns,
+        s.capture.log_insns,
+        s.capture_mips(),
     )?;
     writeln!(
         f,
@@ -218,6 +226,13 @@ pub fn stats_to_json(s: &PipelineStats) -> Json {
         ),
         ("vm", vm_json(&s.vm)),
         ("guest_ns", Json::U64(s.guest_ns)),
+        (
+            "capture",
+            obj(vec![
+                ("ff_insns", Json::U64(s.capture.ff_insns)),
+                ("log_insns", Json::U64(s.capture.log_insns)),
+            ]),
+        ),
         ("mem", mem_json(&s.vm.mat)),
         (
             "arena",
@@ -242,6 +257,7 @@ pub fn stats_to_json(s: &PipelineStats) -> Json {
             "derived",
             obj(vec![
                 ("guest_mips", Json::F64(s.guest_mips())),
+                ("capture_mips", Json::F64(s.capture_mips())),
                 ("block_cache_hit_rate", Json::F64(s.block_cache_hit_rate())),
                 ("tlb_hit_rate", Json::F64(s.tlb_hit_rate())),
                 ("cache_hit_rate", Json::F64(s.cache.hit_rate())),
@@ -344,6 +360,14 @@ pub fn stats_from_json(doc: &Json) -> Result<PipelineStats, String> {
         regions_failed: u64_field(regions, "failed")?,
         vm: vm_from_json(doc)?,
         guest_ns: u64_field(doc, "guest_ns")?,
+        // Documents written before capture was counted carry no section.
+        capture: match doc.get("capture") {
+            Some(c) => CaptureStats {
+                ff_insns: u64_field(c, "ff_insns")?,
+                log_insns: u64_field(c, "log_insns")?,
+            },
+            None => CaptureStats::default(),
+        },
         arena: ArenaStats {
             live_pages: u64_field(arena, "live_pages")?,
             interned: u64_field(arena, "interned")?,
@@ -419,6 +443,10 @@ mod tests {
         s.vm.mat.lazy_faults = 2;
         s.vm.mat.peak_owned_bytes = 65536;
         s.guest_ns = 41_152_263; // ~3000 MIPS
+        s.capture = CaptureStats {
+            ff_insns: 46_400_000,
+            log_insns: 2_700_000,
+        };
         s.arena = ArenaStats {
             live_pages: 12,
             interned: 100,
@@ -437,6 +465,20 @@ mod tests {
         assert_eq!(back, s);
         assert_eq!(back.to_string(), s.to_string(), "text renderings agree");
         assert_eq!(summarize_stats_document(&parsed).unwrap(), s.to_string());
+    }
+
+    #[test]
+    fn documents_without_a_capture_section_read_as_no_capture() {
+        let s = sample_stats();
+        let Json::Obj(fields) = stats_to_json(&s) else {
+            panic!("a stats document is an object");
+        };
+        let old = Json::Obj(fields.into_iter().filter(|(k, _)| k != "capture").collect());
+        let back = stats_from_json(&old).unwrap();
+        assert_eq!(back.capture, CaptureStats::default());
+        assert!(back
+            .to_string()
+            .contains("capture: 0 fast-forwarded insns, 0 logged insns at 0.0 MIPS"));
     }
 
     #[test]
@@ -475,7 +517,7 @@ mod tests {
         let doc = stats_to_json(&sample_stats());
         for key in [
             "schema", "version", "workers", "total_ns", "stages", "regions", "vm", "guest_ns",
-            "mem", "arena", "cache", "derived",
+            "capture", "mem", "arena", "cache", "derived",
         ] {
             assert!(doc.get(key).is_some(), "missing `{key}`");
         }

@@ -12,6 +12,7 @@
 
 use crate::cache::CacheStats;
 use elfie_pinball::{ArenaStats, PageArena};
+use elfie_pinplay::CaptureStats;
 use elfie_trace::{MetricsRegistry, Tracer};
 use elfie_vm::{FastPathStats, MaterializeStats};
 use std::fmt;
@@ -24,7 +25,8 @@ use std::time::{Duration, Instant};
 pub enum Stage {
     /// BBV profiling (one whole guest run per workload).
     Profile,
-    /// Fat-pinball capture (one guest run per candidate region).
+    /// Fat-pinball capture (one fast-forward pass per workload, plus one
+    /// guest run per alternate tried).
     Capture,
     /// pinball2elf conversion (includes sysstate extraction).
     Convert,
@@ -69,6 +71,8 @@ pub struct StatsCollector {
     cow_breaks: AtomicU64,
     lazy_faults: AtomicU64,
     peak_owned_bytes: AtomicU64,
+    capture_ff_insns: AtomicU64,
+    capture_log_insns: AtomicU64,
     tracer: Option<Arc<Tracer>>,
     metrics: Option<Arc<MetricsRegistry>>,
 }
@@ -201,6 +205,16 @@ impl StatsCollector {
         }
     }
 
+    /// Accumulates one capture pass's guest work. Kept apart from the
+    /// `vm` counters of [`StatsCollector::record_vm`]: the logger's
+    /// machines are not instrumented runs.
+    pub fn record_capture(&self, c: CaptureStats) {
+        self.capture_ff_insns
+            .fetch_add(c.ff_insns, Ordering::Relaxed);
+        self.capture_log_insns
+            .fetch_add(c.log_insns, Ordering::Relaxed);
+    }
+
     /// Freezes the collector into a report.
     pub fn finish(&self, total: Duration, workers: usize, cache: CacheStats) -> PipelineStats {
         PipelineStats {
@@ -230,6 +244,10 @@ impl StatsCollector {
                 },
             },
             guest_ns: self.guest_ns.load(Ordering::Relaxed),
+            capture: CaptureStats {
+                ff_insns: self.capture_ff_insns.load(Ordering::Relaxed),
+                log_insns: self.capture_log_insns.load(Ordering::Relaxed),
+            },
             arena: PageArena::global().stats(),
             cache,
         }
@@ -265,6 +283,9 @@ pub struct PipelineStats {
     /// Host wall nanoseconds spent inside instrumented guest runs (the
     /// denominator of [`PipelineStats::guest_mips`]).
     pub guest_ns: u64,
+    /// Guest instructions the capture passes fast-forwarded and logged.
+    /// Not part of `vm` or [`PipelineStats::guest_insns`].
+    pub capture: CaptureStats,
     /// Process-wide page-arena counters at the end of the run.
     pub arena: ArenaStats,
     /// Cache effectiveness over the run.
@@ -288,6 +309,19 @@ impl PipelineStats {
         }
     }
 
+    /// Capture throughput: fast-forwarded plus logged instructions, in
+    /// millions per second of capture stage time; 0 when nothing was
+    /// captured.
+    pub fn capture_mips(&self) -> f64 {
+        let ns = self.capture_time.as_nanos();
+        if ns == 0 {
+            0.0
+        } else {
+            let insns = self.capture.ff_insns.saturating_add(self.capture.log_insns);
+            insns as f64 / 1e6 / (ns as f64 / 1e9)
+        }
+    }
+
     /// Fraction of guest instructions served by the block cache, `[0, 1]`.
     pub fn block_cache_hit_rate(&self) -> f64 {
         self.vm.block_hit_rate()
@@ -300,8 +334,9 @@ impl PipelineStats {
 
     /// Folds another run's stats into this one, per-field:
     ///
-    /// * stage times, regions, VM counters, guest time: saturating sums
-    ///   (total work) — with VM peak residency also summed (fleet bound);
+    /// * stage times, regions, VM and capture counters, guest time:
+    ///   saturating sums (total work) — with VM peak residency also summed
+    ///   (fleet bound);
     /// * `workers`: saturating sum (per-worker shards merge to the pool);
     /// * `total`: maximum (concurrent shards' end-to-end wall);
     /// * `arena`: field-wise maximum (process-global gauges overlap);
@@ -331,6 +366,7 @@ impl PipelineStats {
         self.vm.accumulate(other.vm);
         self.vm.mat.peak_owned_bytes = peak;
         self.guest_ns = self.guest_ns.saturating_add(other.guest_ns);
+        self.capture.accumulate(other.capture);
         self.arena.merge(&other.arena);
         self.cache.merge(&other.cache);
     }

@@ -11,6 +11,7 @@
 
 use elfie::cache::CacheStats;
 use elfie::pinball::ArenaStats;
+use elfie::pinplay::CaptureStats;
 use elfie::render;
 use elfie::stats::PipelineStats;
 use elfie::vm::{FastPathStats, MaterializeStats};
@@ -143,7 +144,7 @@ fn pipeline_stats() -> impl Strategy<Value = PipelineStats> {
             counter(),
             counter(),
         ),
-        (counter(), counter(), counter()),
+        (counter(), counter(), counter(), counter(), counter()),
         fastpath_stats(),
         arena_stats(),
         cache_stats(),
@@ -151,7 +152,7 @@ fn pipeline_stats() -> impl Strategy<Value = PipelineStats> {
         .prop_map(
             |(
                 (workers, total, profile, capture, convert, measure),
-                (regions_attempted, regions_failed, guest_ns),
+                (regions_attempted, regions_failed, guest_ns, ff_insns, log_insns),
                 vm,
                 arena,
                 cache,
@@ -167,6 +168,10 @@ fn pipeline_stats() -> impl Strategy<Value = PipelineStats> {
                     regions_failed,
                     vm,
                     guest_ns,
+                    capture: CaptureStats {
+                        ff_insns,
+                        log_insns,
+                    },
                     arena,
                     cache,
                 }
@@ -267,6 +272,7 @@ proptest! {
             regions_failed: 0,
             vm: FastPathStats::default(),
             guest_ns: 0,
+            capture: CaptureStats::default(),
             arena: ArenaStats::default(),
             cache: CacheStats::default(),
         };

@@ -47,7 +47,7 @@
 pub mod logger;
 pub mod replay;
 
-pub use logger::{CaptureError, LogObserver, Logger, LoggerConfig, ARCH_ID};
+pub use logger::{CaptureError, CaptureStats, LogObserver, Logger, LoggerConfig, ARCH_ID};
 pub use replay::{
     BootMode, Divergence, ReplayConfig, ReplaySession, ReplaySummary, Replayer, SessionStep,
 };

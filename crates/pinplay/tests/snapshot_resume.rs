@@ -40,6 +40,45 @@ fn counter_program(iters: u64) -> elfie_isa::Program {
     .expect("assembles")
 }
 
+/// Calls `gettimeofday` every `delay`-iteration spin and stores each
+/// result's seconds and microseconds into the data array, so every logged
+/// syscall leaves different bytes behind.
+fn clock_program(calls: u64, delay: u64) -> elfie_isa::Program {
+    assemble(&format!(
+        r#"
+        .org 0x400000
+        start:
+            mov rbx, 0x30000000
+            mov r12, {calls}
+        again:
+            mov rax, 96
+            mov rdi, tv
+            mov rsi, 0
+            syscall
+            mov r13, tv
+            mov rdx, [r13]
+            mov [rbx], rdx
+            mov rdx, [r13 + 8]
+            mov [rbx + 8], rdx
+            add rbx, 16
+            mov rcx, {delay}
+        spin:
+            sub rcx, 1
+            cmp rcx, 0
+            jne spin
+            sub r12, 1
+            cmp r12, 0
+            jne again
+            mov rax, 231
+            mov rdi, 0
+            syscall
+        .align 8
+        tv: .quad 0, 0
+        "#
+    ))
+    .expect("assembles")
+}
+
 fn two_thread_program() -> elfie_isa::Program {
     assemble(
         r#"
@@ -126,7 +165,11 @@ fn machine_digest<O: Observer>(m: &Machine<O>) -> u64 {
 /// capturing a snapshot every `interval` instructions, then re-runs every
 /// slice from its snapshot and checks each slice reproduces the next
 /// snapshot byte-for-byte (or, for the last slice, the serial end state).
-fn check_chain(pb: &elfie_pinball::Pinball, machine: MachineConfig, interval: u64) -> usize {
+fn check_chain(
+    pb: &elfie_pinball::Pinball,
+    machine: MachineConfig,
+    interval: u64,
+) -> Vec<Snapshot> {
     let replayer = Replayer::new(ReplayConfig {
         machine,
         ..ReplayConfig::default()
@@ -187,7 +230,7 @@ fn check_chain(pb: &elfie_pinball::Pinball, machine: MachineConfig, interval: u6
             }
         }
     }
-    snaps.len()
+    snaps
 }
 
 #[test]
@@ -199,7 +242,7 @@ fn single_thread_chain_is_bit_identical() {
     ))
     .capture(&counter_program(5_000), map_array)
     .expect("captures");
-    let n = check_chain(&pb, MachineConfig::default(), 700);
+    let n = check_chain(&pb, MachineConfig::default(), 700).len();
     assert!(n >= 4, "expected several snapshots, got {n}");
 }
 
@@ -213,7 +256,7 @@ fn fine_interval_chain_is_bit_identical() {
     .capture(&counter_program(5_000), map_array)
     .expect("captures");
     // Finer than the 64-insn scheduling slice: pauses land mid-thread-turn.
-    let n = check_chain(&pb, MachineConfig::default(), 150);
+    let n = check_chain(&pb, MachineConfig::default(), 150).len();
     assert!(n >= 10, "expected a long chain, got {n}");
 }
 
@@ -232,8 +275,35 @@ fn multithreaded_chain_with_races_is_bit_identical() {
     .expect("captures");
     assert!(pb.threads.len() >= 2, "both threads captured");
     assert!(!pb.races.order.is_empty(), "atomic order recorded");
-    let n = check_chain(&pb, MachineConfig::default(), 200);
+    let n = check_chain(&pb, MachineConfig::default(), 200).len();
     assert!(n >= 3, "expected several snapshots, got {n}");
+}
+
+#[test]
+fn resume_injects_the_syscalls_logged_after_the_snapshot() {
+    let pb = Logger::new(LoggerConfig::fat(
+        "clock",
+        RegionTrigger::GlobalIcount(50),
+        20_000,
+    ))
+    .capture(&clock_program(12, 1_000), map_array)
+    .expect("captures");
+    let logged = pb.threads[0].syscalls.len() as u64;
+    assert!(logged >= 5, "only {logged} syscalls logged");
+    let snaps = check_chain(&pb, MachineConfig::default(), 2_500);
+    // Some snapshot sits between two logged syscalls, so its resume must
+    // start injecting partway down the log.
+    assert!(
+        snaps.iter().any(|s| {
+            let consumed = s.consumed_syscalls.get(&0).copied().unwrap_or(0);
+            consumed > 0 && consumed < logged
+        }),
+        "no snapshot between logged syscalls: {:?}",
+        snaps
+            .iter()
+            .map(|s| s.consumed_syscalls.clone())
+            .collect::<Vec<_>>()
+    );
 }
 
 #[test]
@@ -300,7 +370,7 @@ fn check_suite(suite: Vec<Workload>, machine: MachineConfig) {
         ))
         .capture(&w.program, |m| w.setup(m))
         .unwrap_or_else(|e| panic!("{}: capture failed: {e:?}", w.name));
-        let n = check_chain(&pb, machine.clone(), SUITE_INTERVAL);
+        let n = check_chain(&pb, machine.clone(), SUITE_INTERVAL).len();
         assert!(
             n > 0,
             "{}: the fine interval must produce snapshots",

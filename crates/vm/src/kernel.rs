@@ -186,7 +186,7 @@ impl Default for KernelConfig {
 }
 
 /// The emulated kernel state for one guest process.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Kernel {
     /// Backing filesystem.
     pub fs: InMemoryFs,

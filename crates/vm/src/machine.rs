@@ -234,6 +234,33 @@ fn classify(effect: Effect) -> (bool, ThreadStep, u64) {
     }
 }
 
+/// Counts a retirement at `rip` against every PcCount condition and
+/// reports whether a PcCount target was reached or a watched marker
+/// retired: the batch must end there so the condition is checked before
+/// anything else runs.
+#[inline]
+fn track_stop_edges(
+    conds: &[StopWhen],
+    pc_counters: &mut [u64],
+    rip: u64,
+    step: ThreadStep,
+) -> bool {
+    let mut edge = false;
+    for (i, c) in conds.iter().enumerate() {
+        match *c {
+            StopWhen::PcCount { pc, count } if pc == rip => {
+                pc_counters[i] += 1;
+                edge |= pc_counters[i] >= count;
+            }
+            StopWhen::Marker(kind) => {
+                edge |= matches!(step, ThreadStep::Marker(k, _) if k == kind);
+            }
+            _ => {}
+        }
+    }
+    edge
+}
+
 /// Result of stepping one thread by one instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadStep {
@@ -327,6 +354,10 @@ pub struct Machine<O: Observer = NullObserver> {
     bbcache: BlockCache,
     cursors: Vec<BlockCursor>,
     seen_layout: u64,
+    resume_slices: bool,
+    /// The scheduling slice a stopped run cut short: thread index and the
+    /// instructions left of its quantum. Only kept with `resume_slices`.
+    interrupted: Option<(usize, u64)>,
 }
 
 impl Machine<NullObserver> {
@@ -356,7 +387,55 @@ impl<O: Observer> Machine<O> {
             bbcache: BlockCache::new(),
             cursors: Vec::new(),
             seen_layout: 0,
+            resume_slices: false,
+            interrupted: None,
             cfg,
+        }
+    }
+
+    /// Forks the machine at its current point, the way `fork(2)` does:
+    /// memory pages are shared copy-on-write (each side privatises a page
+    /// on its next write to it), and
+    /// threads, kernel, hardware timing model, scheduler state and
+    /// counters are cloned. The child gets `obs`, no stop conditions, no
+    /// interposer, an empty block cache and slice resumption off, so its
+    /// next [`Machine::run`] starts a fresh scheduling slice — exactly
+    /// what a machine stopped at this point and run again would do.
+    pub fn fork<P: Observer>(&mut self, obs: P) -> Machine<P> {
+        Machine {
+            mem: self.mem.fork(),
+            threads: self.threads.clone(),
+            kernel: self.kernel.clone(),
+            obs,
+            stop_conditions: Vec::new(),
+            cfg: self.cfg.clone(),
+            hw: self.hw.clone(),
+            global_icount: self.global_icount,
+            cycle: self.cycle,
+            rng: self.rng,
+            sched_next: self.sched_next,
+            exit_code: self.exit_code,
+            interposer: None,
+            pc_counters: Vec::new(),
+            bbcache: BlockCache::new(),
+            cursors: Vec::new(),
+            seen_layout: 0,
+            resume_slices: false,
+            interrupted: None,
+        }
+    }
+
+    /// Makes stops invisible to scheduling. With this on, a
+    /// [`Machine::run`] that returns mid-slice (stop condition, observer
+    /// stop, fuel) keeps the rest of the slice, and the next `run`
+    /// continues it instead of drawing a fresh jittered quantum. A machine
+    /// stopped at any set of points then follows the same schedule as one
+    /// run straight through. Turning it off drops any kept slice. Off by
+    /// default: a stopped-and-rerun machine starts a fresh slice.
+    pub fn set_resume_slices(&mut self, on: bool) {
+        self.resume_slices = on;
+        if !on {
+            self.interrupted = None;
         }
     }
 
@@ -593,6 +672,12 @@ impl<O: Observer> Machine<O> {
 
         let mut attempts = 0u64;
         let mut exit_fired = false;
+        // PcCount and Marker conditions can only be seen as they retire;
+        // every other kind is capped by the caller's `max`.
+        let edge_stops = stop_conditions
+            .iter()
+            .any(|c| matches!(c, StopWhen::PcCount { .. } | StopWhen::Marker(_)));
+        let mut stop_edge = false;
         let result = if let Some((slot, block_start, start_pos)) = cached {
             // Hold the block for the whole batch: nothing below can
             // invalidate it — evictions and flushes only happen in the
@@ -631,13 +716,8 @@ impl<O: Observer> Machine<O> {
                         cursors[idx].valid = false;
                         break step;
                     }
-                    // Track PcCount stop-condition counters.
-                    for (i, c) in stop_conditions.iter().enumerate() {
-                        if let StopWhen::PcCount { pc, .. } = c {
-                            if *pc == rip {
-                                pc_counters[i] += 1;
-                            }
-                        }
+                    if edge_stops {
+                        stop_edge = track_stop_edges(stop_conditions, pc_counters, rip, step);
                     }
                 }
                 // Advance along the straight line; any deviation (taken
@@ -651,6 +731,7 @@ impl<O: Observer> Machine<O> {
                 }
                 pos += 1;
                 if attempts >= max
+                    || stop_edge
                     || pos >= block.insns.len()
                     || mem.has_dirty_code()
                     || obs.wants_stop()
@@ -693,14 +774,8 @@ impl<O: Observer> Machine<O> {
                     t.state = ThreadState::Exited(0);
                     obs.on_thread_exit(t.tid, 0);
                     exit_fired = true;
-                } else {
-                    for (i, c) in stop_conditions.iter().enumerate() {
-                        if let StopWhen::PcCount { pc, .. } = c {
-                            if *pc == pre_rip {
-                                pc_counters[i] += 1;
-                            }
-                        }
-                    }
+                } else if edge_stops {
+                    track_stop_edges(stop_conditions, pc_counters, pre_rip, step);
                 }
             }
             step
@@ -807,30 +882,78 @@ impl<O: Observer> Machine<O> {
         self.obs.on_syscall_ret(tid, nr, ret, &outcome.writes);
     }
 
-    fn check_stop(&self, idx_tid: u32, last: ThreadStep) -> Option<usize> {
-        for (i, c) in self.stop_conditions.iter().enumerate() {
-            let hit = match *c {
-                StopWhen::GlobalInsns(n) => self.global_icount >= n,
-                StopWhen::ThreadInsns(tid, n) => self
-                    .threads
-                    .get(tid as usize)
-                    .map(|t| t.icount >= n)
-                    .unwrap_or(false),
-                StopWhen::PcCount { count, .. } => self.pc_counters[i] >= count,
-                StopWhen::Marker(kind) => {
-                    matches!(last, ThreadStep::Marker(k, _) if k == kind)
-                }
-            };
-            let _ = idx_tid;
-            if hit {
-                return Some(i);
-            }
+    /// Whether stop condition `i` holds after `last` retired.
+    fn condition_met(&self, i: usize, last: ThreadStep) -> bool {
+        match self.stop_conditions[i] {
+            StopWhen::GlobalInsns(n) => self.global_icount >= n,
+            StopWhen::ThreadInsns(tid, n) => self
+                .threads
+                .get(tid as usize)
+                .is_some_and(|t| t.icount >= n),
+            StopWhen::PcCount { count, .. } => self.pc_counters.get(i).is_some_and(|&c| c >= count),
+            StopWhen::Marker(kind) => matches!(last, ThreadStep::Marker(k, _) if k == kind),
         }
-        None
+    }
+
+    fn check_stop(&self, last: ThreadStep) -> Option<usize> {
+        (0..self.stop_conditions.len()).find(|&i| self.condition_met(i, last))
+    }
+
+    /// Whether stop condition `i` holds at the current point. Count
+    /// conditions hold from the moment they are reached; a
+    /// [`StopWhen::Marker`] condition is an event, seen only as the
+    /// [`ExitReason::StopCondition`] of the run it ended, and reads false
+    /// here.
+    pub fn stop_condition_met(&self, i: usize) -> bool {
+        self.condition_met(i, ThreadStep::Retired)
+    }
+
+    /// Removes stop condition `i` together with its retirement counter, so
+    /// the remaining PcCount conditions keep their counts.
+    pub fn remove_stop_condition(&mut self, i: usize) -> StopWhen {
+        if i < self.pc_counters.len() {
+            self.pc_counters.remove(i);
+        }
+        self.stop_conditions.remove(i)
+    }
+
+    /// The most instructions thread `idx` may retire in one batch without
+    /// stepping past the point where a count condition starts to hold:
+    /// the distance to the nearest global or own-thread target, or 1 when
+    /// a condition already holds (the old single-step behaviour: a
+    /// condition that holds stops the run after one more instruction).
+    fn batch_cap(&self, idx: usize) -> u64 {
+        let mut cap = u64::MAX;
+        for (i, c) in self.stop_conditions.iter().enumerate() {
+            let distance = match *c {
+                StopWhen::GlobalInsns(n) => n.saturating_sub(self.global_icount),
+                StopWhen::ThreadInsns(tid, n) => match self.threads.get(tid as usize) {
+                    Some(t) if t.icount >= n => 0,
+                    Some(t) if tid as usize == idx => n - t.icount,
+                    _ => continue,
+                },
+                StopWhen::PcCount { .. } if self.condition_met(i, ThreadStep::Retired) => 0,
+                StopWhen::PcCount { .. } | StopWhen::Marker(_) => continue,
+            };
+            cap = cap.min(distance);
+        }
+        cap.max(1)
+    }
+
+    /// Keeps a slice cut short by a stop, when slices are resumed.
+    fn interrupt(&mut self, idx: usize, slice_left: u64) {
+        if self.resume_slices {
+            self.interrupted = Some((idx, slice_left));
+        }
     }
 
     /// Runs the machine until every thread exits, a fault occurs, a stop
     /// condition or observer stop triggers, or `fuel` instructions retire.
+    ///
+    /// Stop conditions do not slow execution down: each batch runs from
+    /// the block cache up to the nearest count target, and PcCount and
+    /// Marker conditions end a batch as they retire, so the run stops at
+    /// exactly the instruction a one-at-a-time run would.
     pub fn run(&mut self, fuel: u64) -> RunSummary {
         self.pc_counters.resize(self.stop_conditions.len(), 0);
         let start_insns = self.global_icount;
@@ -843,39 +966,32 @@ impl<O: Observer> Machine<O> {
         };
 
         loop {
-            if self.all_exited() {
-                return finish(self, ExitReason::AllExited(self.exit_code));
-            }
-            // Pick the next runnable thread round-robin.
-            let n = self.threads.len();
-            let mut chosen = None;
-            for off in 0..n {
-                let idx = (self.sched_next + off) % n;
-                if self.threads[idx].is_runnable() {
-                    chosen = Some(idx);
-                    break;
+            let (idx, mut slice_left) = match self.interrupted.take() {
+                Some(slice) => slice,
+                None => {
+                    if self.all_exited() {
+                        return finish(self, ExitReason::AllExited(self.exit_code));
+                    }
+                    // Pick the next runnable thread round-robin.
+                    let n = self.threads.len();
+                    let chosen = (0..n)
+                        .map(|off| (self.sched_next + off) % n)
+                        .find(|&idx| self.threads[idx].is_runnable());
+                    let Some(idx) = chosen else {
+                        return finish(self, ExitReason::Deadlock);
+                    };
+                    // Jittered quantum: [quantum/2, 3*quantum/2).
+                    let q = self.cfg.quantum;
+                    (idx, (q / 2 + xorshift(&mut self.rng) % q.max(1)).max(1))
                 }
-            }
-            let idx = match chosen {
-                Some(i) => i,
-                None => return finish(self, ExitReason::Deadlock),
             };
-            // Jittered quantum: [quantum/2, 3*quantum/2).
-            let q = self.cfg.quantum;
-            let mut slice_left = (q / 2 + xorshift(&mut self.rng) % q.max(1)).max(1);
             while slice_left > 0 {
                 if budget == 0 {
+                    self.interrupt(idx, slice_left);
                     return finish(self, ExitReason::FuelExhausted);
                 }
                 let tid = self.threads[idx].tid;
-                // With no stop conditions armed the rest of the slice can
-                // be served as one cached-block batch; otherwise the
-                // conditions must be re-evaluated after every instruction.
-                let max = if self.stop_conditions.is_empty() {
-                    slice_left.min(budget)
-                } else {
-                    1
-                };
+                let max = slice_left.min(budget).min(self.batch_cap(idx));
                 let (ran, step) = self.step_thread_batch(idx, max);
                 budget -= ran;
                 slice_left -= ran;
@@ -886,10 +1002,12 @@ impl<O: Observer> Machine<O> {
                     ThreadStep::NotRunnable => break,
                     _ => {}
                 }
-                if let Some(i) = self.check_stop(tid, step) {
+                if let Some(i) = self.check_stop(step) {
+                    self.interrupt(idx, slice_left);
                     return finish(self, ExitReason::StopCondition(i));
                 }
                 if self.obs.wants_stop() {
+                    self.interrupt(idx, slice_left);
                     return finish(self, ExitReason::ObserverStop);
                 }
                 if !self.threads[idx].is_runnable() {
@@ -1281,5 +1399,162 @@ mod tests {
         let s = m.run(100_000);
         assert_eq!(s.reason, ExitReason::AllExited(0));
         assert!(s.cycles > s.insns);
+    }
+
+    /// Two threads bumping a shared counter with `xadd` and writing their
+    /// own slots, so any change of interleaving shows in memory.
+    const RACY: &str = r#"
+        .org 0x400000
+        start:
+            mov rax, 56
+            mov rdi, 0
+            mov rsi, 0x7f00100000
+            syscall
+            mov r8, rax
+            mov rcx, 700
+        work:
+            mov rdx, 1
+            mov rbx, shared
+            xadd [rbx], rdx
+            mov rbx, slots
+            mov [rbx + r8 * 8], rdx
+            sub rcx, 1
+            cmp rcx, 0
+            jne work
+            cmp r8, 0
+            je parent
+            mov rax, 60
+            mov rdi, 0
+            syscall
+        parent:
+            mov rax, 231
+            mov rdi, 0
+            syscall
+        .align 8
+        shared: .quad 0
+        slots: .quad 0, 0
+    "#;
+
+    fn racy() -> Machine {
+        let mut m = machine(RACY);
+        m.mem
+            .map_range(0x7f000f0000, 0x7f00100000, Perm::RW)
+            .unwrap();
+        m
+    }
+
+    /// Global icount and cycles, per-thread icount, cycles and registers,
+    /// and every page's bytes.
+    type State = (u64, u64, Vec<(u64, u64, RegFile)>, Vec<Vec<u8>>);
+
+    /// Everything a later run can depend on.
+    fn state(m: &Machine) -> State {
+        (
+            m.global_icount(),
+            m.cycles(),
+            m.threads
+                .iter()
+                .map(|t| (t.icount, t.cycles, t.regs.clone()))
+                .collect(),
+            m.mem.pages().map(|(_, _, d)| d.to_vec()).collect(),
+        )
+    }
+
+    #[test]
+    fn resumed_slices_make_stops_invisible() {
+        let mut straight = racy();
+        assert_eq!(straight.run(1_000_000).reason, ExitReason::AllExited(0));
+
+        let mut stopped = racy();
+        stopped.set_resume_slices(true);
+        for n in [5, 97, 98, 1_000, 1_001, 4_321] {
+            stopped.stop_conditions = vec![StopWhen::GlobalInsns(n)];
+            assert_eq!(stopped.run(1_000_000).reason, ExitReason::StopCondition(0));
+            assert_eq!(stopped.global_icount(), n);
+        }
+        stopped.stop_conditions.clear();
+        assert_eq!(stopped.run(1_000_000).reason, ExitReason::AllExited(0));
+        assert_eq!(state(&stopped), state(&straight));
+
+        // Without resumption each stop draws a fresh slice, so the same
+        // stops change the schedule.
+        let mut rerun = racy();
+        for n in [5, 97, 98, 1_000, 1_001, 4_321] {
+            rerun.stop_conditions = vec![StopWhen::GlobalInsns(n)];
+            rerun.run(1_000_000);
+        }
+        rerun.stop_conditions.clear();
+        rerun.run(1_000_000);
+        assert_ne!(state(&rerun), state(&straight));
+    }
+
+    #[test]
+    fn fork_runs_like_a_machine_stopped_and_rerun() {
+        let stop_at = 2_500;
+        let mut reference = racy();
+        reference.stop_conditions = vec![StopWhen::GlobalInsns(stop_at)];
+        reference.run(1_000_000);
+        reference.stop_conditions.clear();
+        assert_eq!(reference.run(1_000_000).reason, ExitReason::AllExited(0));
+
+        let mut parent = racy();
+        parent.set_resume_slices(true);
+        parent.stop_conditions = vec![StopWhen::GlobalInsns(1_000), StopWhen::GlobalInsns(stop_at)];
+        parent.run(1_000_000);
+        parent.remove_stop_condition(0);
+        assert_eq!(parent.run(1_000_000).reason, ExitReason::StopCondition(0));
+        let before = state(&parent);
+        let mut child = parent.fork(NullObserver);
+        assert_eq!(state(&child), before, "a fork starts as a copy");
+        assert_eq!(child.run(1_000_000).reason, ExitReason::AllExited(0));
+        assert_eq!(state(&child), state(&reference));
+        // The child's writes never reach the parent's pages.
+        assert_eq!(state(&parent), before);
+        parent.remove_stop_condition(0);
+        assert_eq!(parent.run(1_000_000).reason, ExitReason::AllExited(0));
+        let mut straight = racy();
+        straight.run(1_000_000);
+        assert_eq!(state(&parent), state(&straight));
+    }
+
+    #[test]
+    fn every_stop_kind_holds_at_its_own_instruction() {
+        let mut m = machine(
+            r#"
+            .org 0x400000
+            start:
+                mov rcx, 0
+            loop:
+                add rcx, 1
+                marker sniper, 1
+                jmp loop
+            "#,
+        );
+        m.stop_conditions = vec![
+            StopWhen::PcCount {
+                pc: 0x40000a,
+                count: 3,
+            },
+            StopWhen::GlobalInsns(40),
+            StopWhen::ThreadInsns(0, 20),
+        ];
+        assert_eq!(m.run(10_000).reason, ExitReason::StopCondition(0));
+        assert_eq!(m.global_icount(), 8, "third `add` retired");
+        assert!(m.stop_condition_met(0));
+        assert!(!m.stop_condition_met(1) && !m.stop_condition_met(2));
+        m.remove_stop_condition(0);
+        assert_eq!(m.run(10_000).reason, ExitReason::StopCondition(1));
+        assert_eq!(m.global_icount(), 20);
+        m.remove_stop_condition(1);
+        m.stop_conditions.push(StopWhen::Marker(MarkerKind::Sniper));
+        assert_eq!(m.run(10_000).reason, ExitReason::StopCondition(1));
+        assert_eq!(m.global_icount(), 21, "next marker after 20");
+        assert!(
+            !m.stop_condition_met(1),
+            "a marker is an event, not a level"
+        );
+        m.remove_stop_condition(1);
+        assert_eq!(m.run(10_000).reason, ExitReason::StopCondition(0));
+        assert_eq!(m.global_icount(), 40);
     }
 }

@@ -665,6 +665,30 @@ impl Memory {
         }
     }
 
+    /// Forks the address space copy-on-write. Every private frame is
+    /// frozen into a shared payload (one copy, the first time the page is
+    /// forked after a write), and the child maps each page zero-copy over
+    /// the same payload as this memory. Either side privatises a page on
+    /// its next write through the usual CoW choke point, so neither sees
+    /// the other's writes. The child starts with an empty TLB, no watched
+    /// code pages and fresh counters.
+    pub(crate) fn fork(&mut self) -> Memory {
+        let mut child = Memory::new();
+        for (&base, &slot) in &self.index {
+            let page = self.slots[slot as usize].as_mut().expect("live slot");
+            if let Frame::Owned(bytes) = &page.frame {
+                page.frame = Frame::Shared(Arc::new(**bytes));
+                self.mat.owned_bytes -= PAGE_SIZE;
+            }
+            let Frame::Shared(data) = &page.frame else {
+                unreachable!("frame was just shared");
+            };
+            child.insert_page(base, Page::new_shared(base, page.perm, Arc::clone(data)));
+            child.mat.shared_pages += 1;
+        }
+        child
+    }
+
     /// Iterates over `(page_base, perm, data)` for all mapped pages in
     /// ascending address order. This is what the PinPlay logger walks when
     /// writing a fat pinball's memory image.

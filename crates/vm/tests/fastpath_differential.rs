@@ -18,10 +18,16 @@
 //! undecodable cases), random branchy block graphs that loop enough to
 //! re-execute warm cached blocks, and a hand-written self-modifying
 //! program that overwrites a block the cache has already decoded.
+//!
+//! Stop conditions get the same treatment: a run batched from the block
+//! cache up to each stop must stop where the one-instruction interpreter
+//! stops, for every kind of condition.
 
 use elfie_isa::test_strategies::arb_insn;
-use elfie_isa::{assemble, encode, Cond, Insn, MarkerKind, Reg, RegFile};
-use elfie_vm::{ExitReason, FastPathStats, Machine, MachineConfig, Observer, Perm, RunSummary};
+use elfie_isa::{assemble, encode, Cond, Fnv64, Insn, MarkerKind, Reg, RegFile};
+use elfie_vm::{
+    ExitReason, FastPathStats, Machine, MachineConfig, Observer, Perm, RunSummary, StopWhen,
+};
 use proptest::prelude::*;
 
 /// One observer callback, recorded verbatim.
@@ -357,4 +363,153 @@ fn counted_loop_runs_warm() {
         rate > 0.95,
         "warm loop should run from the cache (hit rate {rate:.3})"
     );
+}
+
+/// Two threads looping over a shared `xadd` counter, with a Sniper
+/// marker every iteration and a Simics marker every 16th. The loop head
+/// `body` is the PcCount target.
+const STOP_PROGRAM: &str = r#"
+    .org 0x1000
+    start:
+        mov rax, 56
+        mov rdi, 0
+        mov rsi, 0x7f00100000
+        syscall
+        mov r8, rax
+        mov rcx, 900
+    body:
+        mov rdx, 1
+        mov rbx, shared
+        xadd [rbx], rdx
+        marker sniper, 1
+        mov rbx, rcx
+        and rbx, 15
+        cmp rbx, 0
+        jne skip
+        marker simics, 2
+    skip:
+        mov rbx, slots
+        mov [rbx + r8 * 8], rdx
+        sub rcx, 1
+        cmp rcx, 0
+        jne body
+        cmp r8, 0
+        je parent
+        mov rax, 60
+        mov rdi, 0
+        syscall
+    parent:
+        mov rax, 231
+        mov rdi, 0
+        syscall
+    .align 8
+    shared: .quad 0
+    slots: .quad 0, 0
+"#;
+
+/// What a stop leaves behind: why the run ended, the global and
+/// per-thread instruction counts, cycles, and a digest of memory and
+/// registers.
+#[derive(Debug, PartialEq)]
+struct StopPoint {
+    reason: ExitReason,
+    global: u64,
+    threads: Vec<u64>,
+    cycles: u64,
+    digest: u64,
+}
+
+/// Arms every condition at once and runs, dropping each condition as it
+/// fires, until none is left or the program ends.
+fn stop_trace(conds: &[StopWhen], cached: bool) -> Vec<StopPoint> {
+    let prog = assemble(STOP_PROGRAM).expect("assembles");
+    let mut m = Machine::new(MachineConfig {
+        block_cache: cached,
+        ..MachineConfig::default()
+    });
+    m.load_program(&prog);
+    m.mem
+        .map_range(0x7f000f0000, 0x7f00100000, Perm::RW)
+        .unwrap();
+    m.stop_conditions = conds.to_vec();
+    let mut points = Vec::new();
+    loop {
+        let reason = m.run(1_000_000).reason;
+        let mut h = Fnv64::new();
+        for (base, perm, bytes) in m.mem.pages() {
+            h = h.u64(base).u64(u64::from(perm.bits())).bytes(bytes);
+        }
+        for t in &m.threads {
+            h = h.u64(t.regs.rip);
+            for r in 0..16u8 {
+                h = h.u64(t.regs.read(Reg::from_index(r).unwrap()));
+            }
+        }
+        points.push(StopPoint {
+            reason,
+            global: m.global_icount(),
+            threads: m.threads.iter().map(|t| t.icount).collect(),
+            cycles: m.cycles(),
+            digest: h.finish(),
+        });
+        match reason {
+            ExitReason::StopCondition(i) if m.stop_conditions.len() > 1 => {
+                m.remove_stop_condition(i);
+            }
+            _ => return points,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every stop kind, armed together, stops the batched run at the same
+    /// instruction as the one-instruction interpreter, in the same order.
+    #[test]
+    fn every_stop_kind_stops_batched_runs_where_single_steps_stop(
+        global in 1u64..12_000,
+        thread_insns in 1u64..6_000,
+        pc_count in 1u64..1_200,
+        marker in 0u8..3,
+    ) {
+        let prog = assemble(STOP_PROGRAM).expect("assembles");
+        let body = prog.symbols["body"];
+        let kind = [MarkerKind::Sniper, MarkerKind::Simics, MarkerKind::Ssc][marker as usize];
+        let conds = [
+            StopWhen::GlobalInsns(global),
+            StopWhen::ThreadInsns(1, thread_insns),
+            StopWhen::PcCount { pc: body, count: pc_count },
+            StopWhen::Marker(kind),
+            StopWhen::GlobalInsns(global / 2),
+        ];
+        let cached = stop_trace(&conds, true);
+        let single = stop_trace(&conds, false);
+        prop_assert_eq!(&cached, &single);
+        prop_assert!(cached.len() >= 2, "several stops fired: {:?}", cached);
+    }
+}
+
+/// Each stop kind on its own, cache on and off.
+#[test]
+fn each_stop_kind_alone_is_bit_identical() {
+    let body = assemble(STOP_PROGRAM).expect("assembles").symbols["body"];
+    for cond in [
+        StopWhen::GlobalInsns(4_321),
+        StopWhen::ThreadInsns(0, 2_500),
+        StopWhen::ThreadInsns(1, 1),
+        StopWhen::PcCount {
+            pc: body,
+            count: 700,
+        },
+        StopWhen::Marker(MarkerKind::Simics),
+    ] {
+        let cached = stop_trace(&[cond], true);
+        assert_eq!(cached, stop_trace(&[cond], false), "{cond:?}");
+        assert!(
+            matches!(cached[0].reason, ExitReason::StopCondition(0)),
+            "{cond:?} fired: {:?}",
+            cached[0]
+        );
+    }
 }
